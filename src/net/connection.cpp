@@ -68,7 +68,7 @@ void Connection::close(const char* reason) {
 int Connection::release(std::vector<std::uint8_t>& leftover) {
   TIMEDC_ASSERT(!closed());
   leftover.assign(rbuf_.begin() + static_cast<std::ptrdiff_t>(rconsumed_),
-                  rbuf_.end());
+                  rbuf_.begin() + static_cast<std::ptrdiff_t>(rlen_));
   loop_.remove_fd(fd_);
   const int fd = fd_;
   fd_ = -1;
@@ -79,6 +79,7 @@ int Connection::release(std::vector<std::uint8_t>& leftover) {
   on_connected_ = nullptr;
   flush_scheduler_ = nullptr;
   rbuf_.clear();
+  rlen_ = 0;
   rconsumed_ = 0;
   out_.clear();
   return fd;
@@ -88,11 +89,13 @@ void Connection::inject(std::vector<std::uint8_t> data) {
   if (closed() || data.empty()) return;
   // These bytes were already counted by the releasing connection's
   // bytes_read; only the decode is replayed here.
+  rbuf_.resize(rlen_);  // drop the spare room (shrinking fills nothing)
   if (rbuf_.empty()) {
     rbuf_ = std::move(data);
   } else {
     rbuf_.insert(rbuf_.end(), data.begin(), data.end());
   }
+  rlen_ = rbuf_.size();
   decode_buffered();
 }
 
@@ -339,16 +342,14 @@ void Connection::after_enqueue() {
 
 void Connection::handle_readable() {
   for (;;) {
-    const std::size_t old_size = rbuf_.size();
-    rbuf_.resize(old_size + kReadChunk);
-    const ssize_t n = ::recv(fd_, rbuf_.data() + old_size, kReadChunk, 0);
+    if (rbuf_.size() < rlen_ + kReadChunk) rbuf_.resize(rlen_ + kReadChunk);
+    const ssize_t n = ::recv(fd_, rbuf_.data() + rlen_, kReadChunk, 0);
     if (n > 0) {
-      rbuf_.resize(old_size + static_cast<std::size_t>(n));
+      rlen_ += static_cast<std::size_t>(n);
       stats_.bytes_read += static_cast<std::uint64_t>(n);
       if (static_cast<std::size_t>(n) < kReadChunk) break;
       continue;
     }
-    rbuf_.resize(old_size);
     if (n == 0) {
       decode_buffered();
       if (!closed() && !released_) close("peer closed");
@@ -363,9 +364,9 @@ void Connection::handle_readable() {
 }
 
 void Connection::decode_buffered() {
-  while (!closed() && rconsumed_ < rbuf_.size()) {
+  while (!closed() && rconsumed_ < rlen_) {
     const std::span<const std::uint8_t> pending(rbuf_.data() + rconsumed_,
-                                                rbuf_.size() - rconsumed_);
+                                                rlen_ - rconsumed_);
     const wire::FrameView view = wire::peek_frame(pending);
     if (view.status == wire::DecodeStatus::kNeedMore) break;
     if (!view.ok()) {
@@ -381,12 +382,12 @@ void Connection::decode_buffered() {
     rconsumed_ += view.consumed;
   }
   if (closed() || released_) return;
-  if (rconsumed_ == rbuf_.size()) {
-    rbuf_.clear();
+  if (rconsumed_ == rlen_) {
+    rlen_ = 0;
     rconsumed_ = 0;
   } else if (rconsumed_ > kReadChunk) {
-    rbuf_.erase(rbuf_.begin(),
-                rbuf_.begin() + static_cast<std::ptrdiff_t>(rconsumed_));
+    std::memmove(rbuf_.data(), rbuf_.data() + rconsumed_, rlen_ - rconsumed_);
+    rlen_ -= rconsumed_;
     rconsumed_ = 0;
   }
 }
@@ -394,8 +395,8 @@ void Connection::decode_buffered() {
 void Connection::fail_decode(wire::DecodeStatus status) {
   if (closed()) return;
   decode_failure_ = status;
-  log_decode_failure(
-      status, {rbuf_.data() + rconsumed_, rbuf_.size() - rconsumed_});
+  log_decode_failure(status,
+                     {rbuf_.data() + rconsumed_, rlen_ - rconsumed_});
   close(wire::to_cstring(status));
 }
 

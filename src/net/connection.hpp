@@ -206,7 +206,11 @@ class Connection {
   bool flush_armed_ = false;  // scheduler notified, flush_batched() pending
   std::uint32_t interest_ = 0;
 
+  /// Read buffer: bytes [0, rlen_) are received, [rlen_, size()) is spare
+  /// room recv() writes into. The size only grows, so the zero-fill of
+  /// vector::resize is paid once per growth instead of on every read.
   std::vector<std::uint8_t> rbuf_;
+  std::size_t rlen_ = 0;
   std::size_t rconsumed_ = 0;  // decoded prefix of rbuf_, compacted lazily
   SendQueue out_;
   /// Per-send encode scratch; cleared (capacity kept) around every encode,

@@ -243,13 +243,15 @@ Connection* TcpTransport::dial(const Route& route, SiteId site) {
   auto conn = std::make_shared<Connection>(loop_, fd, /*connecting=*/rc != 0);
   Connection* raw = conn.get();
   adopt(std::move(conn));
-  peer_conn_[site.value] = raw;
+  peer_conn_[site.value] = ReturnPath{raw, /*via_forwarder=*/false};
   return raw;
 }
 
 Connection* TcpTransport::connection_to(SiteId to) {
   const auto it = peer_conn_.find(to.value);
-  if (it != peer_conn_.end() && !it->second->closed()) return it->second;
+  if (it != peer_conn_.end() && !it->second.conn->closed()) {
+    return it->second.conn;
+  }
   const auto route = routes_.find(to.value);
   if (route == routes_.end()) return nullptr;
   return dial(route->second, to);
@@ -676,10 +678,6 @@ void TcpTransport::on_frame(Connection& conn, const wire::FrameView& view) {
                             ring_members_);
       ++stats_.ring_updates_sent;
     }
-    // Learn the original client's return path *through the forwarder*: the
-    // reply addressed to inner.from leaves on this inter-server connection,
-    // and the forwarder relays it to the client it still holds.
-    peer_conn_[inner.from.value] = &conn;
     // A serve-here forward (a WARMING owner's forward-through) pins the
     // dispatch to local state: dispatch_serve_locally() reads this flag for
     // exactly the duration of the inner dispatch.
@@ -699,10 +697,8 @@ void TcpTransport::on_frame(Connection& conn, const wire::FrameView& view) {
     // An admission-shed reply or ring hint travelling back to a client whose
     // connection this process holds (the request arrived here and was
     // forwarded out): relay verbatim, exactly like protocol replies.
-    const auto learned = peer_conn_.find(view.to.value);
-    if (learned != peer_conn_.end() && !learned->second->closed() &&
-        learned->second != &conn) {
-      learned->second->send_raw_frame(wire::frame_bytes(view));
+    if (Connection* target = relay_target(view.to, conn)) {
+      target->send_raw_frame(wire::frame_bytes(view));
       ++stats_.relayed;
       return;
     }
@@ -843,8 +839,11 @@ void TcpTransport::dispatch_protocol(Connection& conn,
   wire::DecodedFrame& frame = scratch_frame_;
   ++stats_.frames_received;
   // Learn the return path: replies to frame.from leave through this
-  // connection (latest arrival wins, so a reconnecting peer takes over).
-  peer_conn_[frame.from.value] = &conn;
+  // connection. A frame unwrapped from a kForward (hops > 0) teaches the
+  // path through the forwarder, which relays the reply to the client it
+  // holds; a direct arrival overrides it (latest wins, so a reconnecting
+  // peer takes over).
+  learn_return_path(frame.from, conn, /*via_forwarder=*/hops > 0);
   const auto h = handlers_.find(frame.to.value);
   if (h == handlers_.end()) {
     ++stats_.unroutable;
@@ -873,13 +872,11 @@ bool TcpTransport::relay_or_forward(Connection& conn,
                                     const wire::FrameView& view,
                                     std::uint8_t hops) {
   // Relay first: a reply travelling back to a client whose connection this
-  // process holds (learned when the client's request was forwarded out, or
-  // when a forwarded frame was unwrapped here). Raw byte copy, original
-  // header intact — the client cannot tell the reply took a hop.
-  const auto learned = peer_conn_.find(view.to.value);
-  if (learned != peer_conn_.end() && !learned->second->closed() &&
-      learned->second != &conn) {
-    learned->second->send_raw_frame(wire::frame_bytes(view));
+  // process holds (the client's request arrived here and was forwarded
+  // out). Raw byte copy, original header intact — the client cannot tell
+  // the reply took a hop.
+  if (Connection* target = relay_target(view.to, conn)) {
+    target->send_raw_frame(wire::frame_bytes(view));
     ++stats_.relayed;
     return true;
   }
@@ -896,6 +893,9 @@ bool TcpTransport::relay_or_forward(Connection& conn,
   if (peer_it != peers_.end() &&
       peer_it->second.state == ConnectionState::kHealthy &&
       peer_it->second.conn != nullptr && !peer_it->second.conn->closed()) {
+    // The owner's reply comes back here to be relayed: learn the path now,
+    // since this frame never reaches the dispatch below.
+    learn_return_path(view.from, conn, /*via_forwarder=*/hops > 0);
     peer_it->second.conn->send_forward_raw(cluster_self_, view.to,
                                            static_cast<std::uint8_t>(hops + 1),
                                            /*serve_here=*/false, ring_epoch_,
@@ -914,6 +914,33 @@ bool TcpTransport::relay_or_forward(Connection& conn,
   return false;
 }
 
+void TcpTransport::learn_return_path(SiteId site, Connection& conn,
+                                     bool via_forwarder) {
+  // A routed site is reached over the connection dialed to it. A frame
+  // bearing its id on another connection was relayed by a cluster member;
+  // learning from it would send this site's requests through that member.
+  if (routes_.find(site.value) != routes_.end()) return;
+  const auto [it, inserted] =
+      peer_conn_.try_emplace(site.value, ReturnPath{&conn, via_forwarder});
+  ReturnPath& path = it->second;
+  if (!inserted && (!via_forwarder || path.via_forwarder ||
+                    path.conn->closed())) {
+    path = ReturnPath{&conn, via_forwarder};
+  }
+}
+
+Connection* TcpTransport::relay_target(SiteId site,
+                                       const Connection& arrival) const {
+  // Relaying onto a forwarder-learned path could hand the frame to a server
+  // whose own path leads back here. Each member pair holds two connections
+  // (both sides dial), so an arrival-connection check alone cannot stop
+  // that ping-pong.
+  const auto it = peer_conn_.find(site.value);
+  if (it == peer_conn_.end() || it->second.via_forwarder) return nullptr;
+  Connection* target = it->second.conn;
+  return target->closed() || target == &arrival ? nullptr : target;
+}
+
 // --- self-healing (wire v6) -------------------------------------------------
 
 void TcpTransport::set_ring(std::uint64_t epoch,
@@ -927,10 +954,10 @@ void TcpTransport::maybe_hint_ring(SiteId client) {
   std::uint64_t& hinted = ring_hinted_[client.value];
   if (hinted >= ring_epoch_) return;  // already told this client this epoch
   const auto it = peer_conn_.find(client.value);
-  if (it == peer_conn_.end() || it->second->closed()) return;
+  if (it == peer_conn_.end() || it->second.conn->closed()) return;
   hinted = ring_epoch_;
-  it->second->send_ring_update(cluster_self_, client, ring_epoch_,
-                               ring_members_);
+  it->second.conn->send_ring_update(cluster_self_, client, ring_epoch_,
+                                    ring_members_);
   ++stats_.ring_updates_sent;
 }
 
@@ -975,9 +1002,10 @@ bool TcpTransport::send_slice_sync(SiteId from, SiteId to,
 bool TcpTransport::send_overloaded(SiteId from, SiteId to,
                                    const wire::Overloaded& ov) {
   const auto learned = peer_conn_.find(to.value);
-  Connection* conn = (learned != peer_conn_.end() && !learned->second->closed())
-                         ? learned->second
-                         : connection_to(to);
+  Connection* conn =
+      (learned != peer_conn_.end() && !learned->second.conn->closed())
+          ? learned->second.conn
+          : connection_to(to);
   if (conn == nullptr || conn->closed()) return false;
   conn->send_overloaded(from, to, ov);
   ++stats_.overloaded_sent;
@@ -1068,7 +1096,7 @@ void TcpTransport::steer(Connection& conn, TcpTransport& owner) {
   // The connection carried no learned return paths yet (steering happens
   // on the first protocol frame), but purge defensively.
   for (auto it = peer_conn_.begin(); it != peer_conn_.end();) {
-    it = (it->second == &conn) ? peer_conn_.erase(it) : std::next(it);
+    it = (it->second.conn == &conn) ? peer_conn_.erase(it) : std::next(it);
   }
   TcpTransport* target = &owner;
   target->loop().post(
@@ -1091,7 +1119,7 @@ void TcpTransport::on_close(Connection& conn, const char* reason) {
   // Purge every learned return path through this connection: a send to one
   // of these sites must re-dial or re-learn, never touch a dead pointer.
   for (auto it = peer_conn_.begin(); it != peer_conn_.end();) {
-    it = (it->second == &conn) ? peer_conn_.erase(it) : std::next(it);
+    it = (it->second.conn == &conn) ? peer_conn_.erase(it) : std::next(it);
   }
   const auto sup = conn_site_.find(&conn);
   if (sup != conn_site_.end()) {

@@ -478,6 +478,14 @@ class TcpTransport final : public Transport {
   /// unroutable).
   bool relay_or_forward(Connection& conn, const wire::FrameView& view,
                         std::uint8_t hops);
+  /// Record that replies to `site` leave on `conn`. A direct arrival always
+  /// takes over; a path learned through a forwarder (`via_forwarder`) never
+  /// displaces a live direct one. Sites with a route are never learned.
+  void learn_return_path(SiteId site, Connection& conn, bool via_forwarder);
+  /// Where a frame for `site` that arrived on `arrival` may be relayed: the
+  /// site's direct return path, or null. Never a path learned through a
+  /// forwarder, so a frame is relayed at most once and cannot loop.
+  Connection* relay_target(SiteId site, const Connection& arrival) const;
   /// Send `m` on `conn` — wrapped in kForward when cluster mode is on and
   /// the message is a request being sent on another site's behalf
   /// (reply_to != from), i.e. a local server forwarding a client request.
@@ -529,7 +537,11 @@ class TcpTransport final : public Transport {
   std::unordered_map<std::uint32_t, MessageHandler> handlers_;
   std::unordered_map<std::uint32_t, Route> routes_;
   // Where frames addressed to a site currently leave (dialed or learned).
-  std::unordered_map<std::uint32_t, Connection*> peer_conn_;
+  struct ReturnPath {
+    Connection* conn;
+    bool via_forwarder;  // learned from a kForward, not a direct arrival
+  };
+  std::unordered_map<std::uint32_t, ReturnPath> peer_conn_;
   std::unordered_map<Connection*, std::shared_ptr<Connection>> conns_;
 
   SupervisionConfig supervision_;

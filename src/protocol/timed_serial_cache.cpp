@@ -1,5 +1,7 @@
 #include "protocol/timed_serial_cache.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace timedc {
@@ -19,26 +21,48 @@ void TimedSerialCache::raise_context(SimTime candidate) {
 }
 
 void TimedSerialCache::sweep() {
-  for (auto it = cache_.begin(); it != cache_.end();) {
+  // Every valid entry has an index item carrying its current omega, so
+  // popping the items below Context_i reaches exactly the entries the full
+  // walk would expire. The predicate is re-checked on the live entry:
+  // superseded items find it re-installed, old or gone and are dropped.
+  while (!expiry_.empty() && expiry_.front().omega < context_) {
+    const ObjectId object = expiry_.front().object;
+    std::pop_heap(expiry_.begin(), expiry_.end(), Expiry::later);
+    expiry_.pop_back();
+    const auto it = cache_.find(object);
+    if (it == cache_.end()) continue;
     Entry& e = it->second;
-    if (!e.old && e.omega < context_) {
-      if (mark_old_) {
-        e.old = true;
-        ++stats_.marked_old;
-        ++it;
-      } else {
-        ++stats_.invalidations;
-        it = cache_.erase(it);
-      }
+    if (e.old || !(e.omega < context_)) continue;
+    if (mark_old_) {
+      e.old = true;
+      ++stats_.marked_old;
     } else {
-      ++it;
+      ++stats_.invalidations;
+      cache_.erase(it);
     }
   }
+}
+
+void TimedSerialCache::index(ObjectId object, SimTime omega) {
+  if (expiry_.size() >= 2 * cache_.size() + kExpirySlack) {
+    // More superseded items than valid entries: rebuild from the map (this
+    // entry included). Amortized O(1) per push; the vector's capacity tracks
+    // the largest cache seen, so a warm cache allocates nothing here.
+    expiry_.clear();
+    for (const auto& [id, e] : cache_) {
+      if (!e.old) expiry_.push_back(Expiry{e.omega, id});
+    }
+    std::make_heap(expiry_.begin(), expiry_.end(), Expiry::later);
+    return;
+  }
+  expiry_.push_back(Expiry{omega, object});
+  std::push_heap(expiry_.begin(), expiry_.end(), Expiry::later);
 }
 
 void TimedSerialCache::install(const ObjectCopy& copy) {
   cache_[copy.object] =
       Entry{copy.value, copy.alpha, copy.omega, copy.version, false};
+  index(copy.object, copy.omega);
   raise_context(copy.alpha);  // rule 1
 }
 
@@ -77,6 +101,7 @@ void TimedSerialCache::begin_write(ObjectId object, Value value) {
   const SimTime t = local_time();
   // Rule 2: the local copy starts (and is so far only known valid) at t.
   cache_[object] = Entry{value, t, t, /*version=*/0, false};
+  index(object, t);
   raise_context(t);
   send_to_server(Message{WriteRequest{object, value, t, PlausibleTimestamp{}, self_}},
                  object);
@@ -117,6 +142,7 @@ void TimedSerialCache::handle(const Message& message) {
                      reply->object);
         return;
       }
+      index(reply->object, it->second.omega);
       if (read_pending() && reply->object == pending_object_) {
         finish_read(it->second.value);
       }

@@ -2,7 +2,8 @@
 // close (the killed-peer regression), reconnect with queued-frame flush,
 // heartbeat liveness marking a black-holing peer DEAD, per-status decode
 // error counters through the stats bridge, transmit-time client failover to
-// a live replica, and the bounded per-peer frame queue's drop policy.
+// a live replica, the bounded per-peer frame queue's drop policy, and
+// cluster forwarding with a misrouting client (no reply relay loops).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -10,6 +11,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <functional>
 #include <future>
 #include <memory>
 #include <thread>
@@ -411,6 +413,126 @@ TEST(NetSupervision, BoundedQueueDropsOldestWhenFull) {
   EXPECT_EQ(stats.frames_dropped_queue_full,
             static_cast<std::uint64_t>(kSends - 3));
   client.stop();
+}
+
+/// A --cluster deployment in one process: `members` members, each an
+/// ObjectServer (modulo ownership) on its own loop with supervised routes to
+/// every other member, both sides of each pair dialing as timedc-server
+/// primes them. A client misroutes every op, rotating over the members that
+/// do not own its object, so each member forwards to each other member and
+/// replies come back through a forwarder.
+void run_misrouting_cluster(std::uint32_t members) {
+  std::vector<SiteId> cluster;
+  std::vector<std::unique_ptr<NetNode>> nodes;
+  for (std::uint32_t i = 0; i < members; ++i) {
+    cluster.push_back(SiteId{i});
+    nodes.push_back(std::make_unique<NetNode>());
+  }
+  std::vector<std::unique_ptr<ObjectServer>> servers;
+  for (std::uint32_t i = 0; i < members; ++i) {
+    net::TcpTransport& tx = nodes[i]->transport();
+    servers.push_back(std::make_unique<ObjectServer>(
+        tx, SiteId{i}, members, PushPolicy::kNone, MessageSizes{}, cluster));
+    servers.back()->attach();
+    tx.enable_cluster(SiteId{i});
+    for (std::uint32_t j = 0; j < members; ++j) {
+      if (j != i) tx.add_route(SiteId{j}, "127.0.0.1", nodes[j]->port());
+    }
+    net::SupervisionConfig sup;
+    sup.enabled = true;
+    sup.heartbeat_interval = SimTime::millis(50);
+    tx.set_supervision(sup);
+  }
+  for (auto& node : nodes) node->start();
+  for (std::uint32_t i = 0; i < members; ++i) {
+    net::TcpTransport& tx = nodes[i]->transport();
+    on_loop(nodes[i]->loop(), [&] {
+      for (std::uint32_t j = 0; j < members; ++j) {
+        if (j != i) tx.prime_supervised(SiteId{j});
+      }
+      return true;
+    });
+    for (std::uint32_t j = 0; j < members; ++j) {
+      if (j == i) continue;
+      ASSERT_TRUE(poll_loop(nodes[i]->loop(), [&] {
+        return tx.connection_state(SiteId{j}) == net::ConnectionState::kHealthy;
+      }));
+    }
+  }
+
+  constexpr int kClients = 4;
+  constexpr int kOpsPerClient = 30;
+  net::EventLoop loop;
+  net::TcpTransport tx(loop, SimTime::millis(100));
+  for (std::uint32_t i = 0; i < members; ++i) {
+    tx.add_route(SiteId{i}, "127.0.0.1", nodes[i]->port());
+  }
+  PerfectClock clock;
+  std::uint32_t misroutes = 0;
+  std::vector<std::unique_ptr<TimedSerialCache>> clients;
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    auto client = std::make_unique<TimedSerialCache>(
+        tx, SiteId{100 + c}, SiteId{0}, &clock, SimTime::millis(200),
+        /*mark_old=*/true, MessageSizes{});
+    client->set_route([members, &misroutes](ObjectId object) {
+      const std::uint32_t hop = 1 + misroutes++ % (members - 1);
+      return SiteId{(object.value % members + hop) % members};
+    });
+    // One retry, far beyond any loopback round trip: a lost or looping
+    // reply shows up as a retry instead of a hang.
+    RetryPolicy policy;
+    policy.max_attempts = 2;
+    policy.base_timeout = SimTime::seconds(5);
+    client->configure_reliability(policy, cluster, 11 + c);
+    client->attach();
+    clients.push_back(std::move(client));
+  }
+
+  std::vector<int> issued(kClients, 0);
+  int completed = 0;
+  std::function<void(int)> issue = [&](int c) {
+    if (issued[c] == kOpsPerClient) return;
+    const int seq = issued[c]++;
+    const ObjectId object{static_cast<std::uint32_t>((c + seq) % 6)};
+    auto next = [&, c] {
+      if (++completed == kClients * kOpsPerClient) loop.stop();
+      loop.post([&, c] { issue(c); });
+    };
+    if (seq % 3 == 0) {
+      clients[c]->write(object, Value{(c + 1) * 1000 + seq},
+                        [next](SimTime) { next(); });
+    } else {
+      clients[c]->read(object, [next](Value, SimTime) { next(); });
+    }
+  };
+  for (int c = 0; c < kClients; ++c) loop.post([&, c] { issue(c); });
+  loop.run_after(SimTime::seconds(20), [&] { loop.stop(); });  // hang guard
+  loop.run();
+
+  EXPECT_EQ(completed, kClients * kOpsPerClient);
+  for (const auto& client : clients) {
+    EXPECT_EQ(client->stats().retries, 0u);
+    EXPECT_EQ(client->stats().ops_abandoned, 0u);
+  }
+  std::uint64_t forwards_out = 0;
+  std::uint64_t relayed = 0;
+  for (auto& node : nodes) {
+    const net::TcpTransportStats stats =
+        on_loop(node->loop(), [&] { return node->transport().stats(); });
+    forwards_out += stats.forwards_out;
+    relayed += stats.relayed;
+  }
+  EXPECT_GT(forwards_out, 0u);
+  EXPECT_LE(relayed, forwards_out);
+  for (auto& node : nodes) node->stop();  // before the servers die
+}
+
+TEST(NetCluster, TwoMembersMisroutedOpsCompleteWithoutRelayLoops) {
+  run_misrouting_cluster(2);
+}
+
+TEST(NetCluster, ThreeMembersMisroutedOpsCompleteWithoutRelayLoops) {
+  run_misrouting_cluster(3);
 }
 
 }  // namespace

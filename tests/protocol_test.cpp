@@ -4,8 +4,12 @@
 // runs must satisfy TSC / TCC under the appropriate Delta.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 
+#include "clocks/physical_clock.hpp"
+#include "common/rng.hpp"
 #include "core/checkers.hpp"
 #include "protocol/experiment.hpp"
 #include "protocol/timed_causal_cache.hpp"
@@ -21,7 +25,8 @@ SimTime ms(std::int64_t n) { return SimTime::millis(n); }
 class SerialCacheFixture : public ::testing::Test {
  protected:
   void init(SimTime delta, bool mark_old = true,
-            PushPolicy push = PushPolicy::kNone) {
+            PushPolicy push = PushPolicy::kNone,
+            const PhysicalClockModel* clock = nullptr) {
     net_ = std::make_unique<Network>(sim_, 3,
                                      std::make_unique<FixedLatency>(us(10)),
                                      NetworkConfig{}, Rng(1));
@@ -30,8 +35,8 @@ class SerialCacheFixture : public ::testing::Test {
     server_->attach();
     for (std::uint32_t c = 0; c < 2; ++c) {
       clients_.push_back(std::make_unique<TimedSerialCache>(
-          sim_, *net_, SiteId{c}, SiteId{2}, &clock_, delta, mark_old,
-          MessageSizes{}));
+          sim_, *net_, SiteId{c}, SiteId{2}, clock ? clock : &clock_, delta,
+          mark_old, MessageSizes{}));
       clients_.back()->attach();
     }
   }
@@ -43,6 +48,11 @@ class SerialCacheFixture : public ::testing::Test {
     return got;
   }
 
+  void advance_to(SimTime t) {
+    sim_.schedule_at(t, [] {});
+    sim_.run_until();
+  }
+
   void write_now(int c, ObjectId obj, Value v) {
     clients_[c]->write(obj, v, [](SimTime) {});
     sim_.run_until();
@@ -50,6 +60,7 @@ class SerialCacheFixture : public ::testing::Test {
 
   Simulator sim_;
   PerfectClock clock_;
+  DriftingClock behind_{ms(-100), 0.0};
   std::unique_ptr<Network> net_;
   std::unique_ptr<ObjectServer> server_;
   std::vector<std::unique_ptr<TimedSerialCache>> clients_;
@@ -156,6 +167,196 @@ TEST_F(SerialCacheFixture, PushUpdateRefreshesCache) {
   EXPECT_EQ(read_now(0, ObjectId{0}), Value{3});
   EXPECT_EQ(clients_[0]->stats().cache_hits, 1u);  // served locally
 }
+
+// --- The omega-ordered expiry index -----------------------------------------
+//
+// The one-way latency is a fixed 10us, so a fetch issued at t is served
+// (omega = server time) at t + 10.
+
+/// The four (omega, object) pairs cache_interleaved() leaves, in expiry
+/// order; object 4 (omega 410) outlives them all.
+constexpr std::pair<std::int64_t, std::uint32_t> kInterleaved[] = {
+    {10, 2}, {110, 0}, {210, 3}, {310, 1}};
+
+class ExpiryIndexTest : public SerialCacheFixture {
+ protected:
+  /// Caches objects 2, 0, 3, 1, 4 at 100us spacing under Delta = 1ms, so
+  /// omega order differs from object-id (and hash-map) order.
+  void cache_interleaved(bool mark_old) {
+    init(us(1000), mark_old);
+    for (int k = 0; k < 5; ++k) {
+      const std::uint32_t object = k < 4 ? kInterleaved[k].second : 4;
+      advance_to(us(100 * k));
+      EXPECT_EQ(read_now(0, ObjectId{object}), Value{0});
+    }
+  }
+
+  /// Rule 3 at local time t: a read of object 4, which stays valid.
+  void hit_probe_at(std::int64_t t) {
+    advance_to(us(t));
+    const std::uint64_t hits = clients_[0]->stats().cache_hits;
+    EXPECT_EQ(read_now(0, ObjectId{4}), Value{0});
+    EXPECT_EQ(clients_[0]->stats().cache_hits, hits + 1);
+  }
+};
+
+TEST_F(ExpiryIndexTest, EntriesExpireOneAtATimeAsContextPassesEachOmega) {
+  cache_interleaved(/*mark_old=*/true);
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    const std::int64_t omega = kInterleaved[k].first;
+    hit_probe_at(omega + 1000 - 5);  // Context_i = omega - 5: nothing yet
+    EXPECT_EQ(clients_[0]->stats().marked_old, k);
+    hit_probe_at(omega + 1000 + 5);  // Context_i = omega + 5: this one only
+    EXPECT_EQ(clients_[0]->stats().marked_old, k + 1);
+    EXPECT_EQ(clients_[0]->context(), us(omega + 5));
+  }
+  EXPECT_EQ(clients_[0]->cached_entries(), 5u);
+  // Each demoted entry now costs a validation, not a refetch.
+  for (const auto& [omega, object] : kInterleaved) {
+    EXPECT_EQ(read_now(0, ObjectId{object}), Value{0});
+  }
+  EXPECT_EQ(clients_[0]->stats().validations, 4u);
+  EXPECT_EQ(clients_[0]->stats().cache_misses, 5u);
+}
+
+TEST_F(ExpiryIndexTest, InvalidateModeErasesTheSameEntries) {
+  cache_interleaved(/*mark_old=*/false);
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    const std::int64_t omega = kInterleaved[k].first;
+    hit_probe_at(omega + 1000 - 5);
+    EXPECT_EQ(clients_[0]->stats().invalidations, k);
+    hit_probe_at(omega + 1000 + 5);
+    EXPECT_EQ(clients_[0]->stats().invalidations, k + 1);
+    EXPECT_EQ(clients_[0]->cached_entries(), 4 - k);
+  }
+  EXPECT_EQ(clients_[0]->stats().marked_old, 0u);
+  for (const auto& [omega, object] : kInterleaved) {
+    EXPECT_EQ(read_now(0, ObjectId{object}), Value{0});
+  }
+  EXPECT_EQ(clients_[0]->stats().validations, 0u);
+  EXPECT_EQ(clients_[0]->stats().cache_misses, 9u);
+}
+
+TEST_F(SerialCacheFixture, RevalidatedEntrySurvivesOldOmegaAndExpiresAtNewOne) {
+  init(us(1000), /*mark_old=*/true);
+  EXPECT_EQ(read_now(0, ObjectId{0}), Value{0});  // omega 10
+  advance_to(us(1030));
+  // Context_i = 30 demotes it; the 304 is served at 1040: omega := 1040.
+  EXPECT_EQ(read_now(0, ObjectId{0}), Value{0});
+  EXPECT_EQ(clients_[0]->stats().marked_old, 1u);
+  EXPECT_EQ(clients_[0]->stats().validations_ok, 1u);
+  advance_to(us(2035));  // Context_i = 1035: past 10, short of 1040
+  EXPECT_EQ(read_now(0, ObjectId{0}), Value{0});
+  EXPECT_EQ(clients_[0]->stats().cache_hits, 1u);
+  EXPECT_EQ(clients_[0]->stats().marked_old, 1u);
+  advance_to(us(2045));  // Context_i = 1045: past the new omega
+  EXPECT_EQ(read_now(0, ObjectId{0}), Value{0});
+  EXPECT_EQ(clients_[0]->stats().marked_old, 2u);
+  EXPECT_EQ(clients_[0]->stats().validations, 2u);
+}
+
+TEST_F(SerialCacheFixture, LocalWriteOverValidEntryExpiresAtTheWriteTime) {
+  init(us(1000), /*mark_old=*/true);
+  EXPECT_EQ(read_now(0, ObjectId{0}), Value{0});  // omega 10
+  advance_to(us(500));
+  write_now(0, ObjectId{0}, Value{7});  // rule 2: omega = Context_i = 500
+  EXPECT_EQ(clients_[0]->stats().marked_old, 0u);
+  advance_to(us(1495));  // Context_i stays 500
+  EXPECT_EQ(read_now(0, ObjectId{0}), Value{7});
+  EXPECT_EQ(clients_[0]->stats().cache_hits, 1u);
+  advance_to(us(1505));  // Context_i = 505: past the write's omega
+  EXPECT_EQ(read_now(0, ObjectId{0}), Value{7});
+  EXPECT_EQ(clients_[0]->stats().marked_old, 1u);
+  EXPECT_EQ(clients_[0]->stats().validations, 1u);
+}
+
+TEST_F(SerialCacheFixture, ExpiryIndexStaysBoundedOverALongRun) {
+  // Clocks 100ms behind the server keep every server-stamped omega far
+  // ahead of Context_i, so each pushed re-install supersedes an item that
+  // no sweep pops for 100ms: only the rebuild keeps the index bounded.
+  init(us(1000), /*mark_old=*/true, PushPolicy::kUpdate, &behind_);
+  advance_to(SimTime::seconds(1));
+  constexpr std::size_t kObjects = 8;
+  constexpr std::size_t kBound =
+      2 * kObjects + TimedSerialCache::kExpirySlack;
+  Rng rng(7);
+  std::size_t peak = 0;
+  for (int op = 0; op < 100000; ++op) {
+    const int c = static_cast<int>(rng.uniform_int(0, 1));
+    const ObjectId object{static_cast<std::uint32_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kObjects) - 1))};
+    if (rng.bernoulli(0.3)) {
+      write_now(c, object, Value{op + 1});
+    } else {
+      read_now(c, object);
+    }
+    for (const auto& client : clients_) {
+      ASSERT_LE(client->cached_entries(), kObjects);
+      ASSERT_LE(client->expiry_index_size(),
+                2 * client->cached_entries() +
+                    TimedSerialCache::kExpirySlack);
+      peak = std::max(peak, client->expiry_index_size());
+    }
+    sim_.schedule_after(us(rng.uniform_int(0, 50)), [] {});
+    sim_.run_until();
+  }
+  EXPECT_EQ(peak, kBound);  // the rebuild threshold was reached
+}
+
+/// Whole-protocol pin: CacheStats of seeded runs, recorded with the full
+/// cache walk the index replaced. Any drift means expiry decisions moved.
+struct PinnedRun {
+  bool mark_old;
+  bool delta_infinite;
+  PushPolicy push;
+  std::uint64_t seed;
+  std::uint64_t hits, misses, validations, validations_ok, marked_old,
+      invalidations;
+};
+
+class PinnedCacheStats : public ::testing::TestWithParam<PinnedRun> {};
+
+TEST_P(PinnedCacheStats, MatchesTheFullWalk) {
+  const PinnedRun& p = GetParam();
+  ExperimentConfig config;
+  config.kind = ProtocolKind::kTimedSerial;
+  config.delta = p.delta_infinite ? SimTime::infinity() : ms(3);
+  config.mark_old = p.mark_old;
+  config.push = p.push;
+  config.seed = p.seed;
+  config.workload.num_clients = 4;
+  config.workload.num_objects = 16;
+  config.workload.write_ratio = 0.3;
+  config.workload.mean_think_time = ms(2);
+  config.workload.horizon = ms(400);
+  config.min_latency = us(100);
+  config.max_latency = us(400);
+  const CacheStats s = run_experiment(config).cache;
+  EXPECT_EQ(s.cache_hits, p.hits);
+  EXPECT_EQ(s.cache_misses, p.misses);
+  EXPECT_EQ(s.validations, p.validations);
+  EXPECT_EQ(s.validations_ok, p.validations_ok);
+  EXPECT_EQ(s.marked_old, p.marked_old);
+  EXPECT_EQ(s.invalidations, p.invalidations);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, PinnedCacheStats,
+    ::testing::Values(
+        //       mark_old, Delta=inf, push, seed, hits, misses, validations,
+        //       validations_ok, marked_old, invalidations
+        PinnedRun{true, false, PushPolicy::kNone, 41, 64, 47, 453, 209, 731, 0},
+        PinnedRun{false, false, PushPolicy::kNone, 41, 64, 500, 0, 0, 0, 731},
+        PinnedRun{true, true, PushPolicy::kNone, 41, 108, 47, 409, 176, 656, 0},
+        PinnedRun{false, true, PushPolicy::kNone, 41, 108, 456, 0, 0, 0, 656},
+        PinnedRun{true, false, PushPolicy::kUpdate, 42, 84, 49, 457, 435, 1120,
+                  0},
+        PinnedRun{false, false, PushPolicy::kUpdate, 42, 84, 506, 0, 0, 0,
+                  1120},
+        PinnedRun{true, true, PushPolicy::kUpdate, 42, 108, 49, 433, 416, 1082,
+                  0},
+        PinnedRun{false, true, PushPolicy::kUpdate, 42, 108, 482, 0, 0, 0,
+                  1082}));
 
 // --- Causal cache ----------------------------------------------------------
 
