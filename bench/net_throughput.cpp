@@ -17,7 +17,10 @@
 // window is counted. The recorded `reactor_allocs` must be 0: after
 // warmup (which populates the object maps, cacher sets, per-connection
 // buffers and the dirty-connection flush lists) the serve path touches no
-// heap. CI gates on that and on a generous ops/s floor.
+// heap. CI gates on that and on a generous ops/s floor. When a window
+// counts any allocation, the stack of its first one is printed to stderr
+// (symbolized with -rdynamic; `addr2line -fCe net_throughput ADDR` resolves
+// the rest), so a gate failure names its call site.
 //
 // The sweep runs with the FULL observability stack armed (per-reactor
 // StatsBoard, flight recorder, 1-in-64 stage sampling) — the shape
@@ -35,6 +38,7 @@
 // Usage: net_throughput [--quick] [--out FILE.json] [--reactors-max N]
 //                       [--connections-per-reactor C] [--pipeline P]
 //                       [--measure-s S] [--objects K] [--open-loop RATE]
+#include <execinfo.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -70,10 +74,47 @@ std::atomic<bool> g_alloc_window{false};
 std::atomic<std::uint64_t> g_reactor_allocs{0};
 thread_local bool t_on_reactor = false;
 
+// The stack of the window's first counted allocation. One thread claims the
+// slot; the depth is published last, so a reader that sees it sees the
+// frames. t_capturing keeps anything backtrace() allocates out of the count.
+constexpr int kMaxStackFrames = 32;
+void* g_first_stack[kMaxStackFrames];
+std::atomic<bool> g_stack_claimed{false};
+std::atomic<int> g_stack_depth{0};
+thread_local bool t_capturing = false;
+
 inline void note_alloc() {
-  if (t_on_reactor && g_alloc_window.load(std::memory_order_relaxed)) {
-    g_reactor_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (!t_on_reactor || t_capturing ||
+      !g_alloc_window.load(std::memory_order_relaxed)) {
+    return;
   }
+  g_reactor_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (g_stack_claimed.exchange(true, std::memory_order_relaxed)) return;
+  t_capturing = true;
+  g_stack_depth.store(backtrace(g_first_stack, kMaxStackFrames),
+                      std::memory_order_release);
+  t_capturing = false;
+}
+
+void open_alloc_window() {
+  g_reactor_allocs.store(0, std::memory_order_relaxed);
+  g_stack_depth.store(0, std::memory_order_relaxed);
+  g_stack_claimed.store(false, std::memory_order_relaxed);
+  g_alloc_window.store(true, std::memory_order_relaxed);
+}
+
+void print_first_alloc_stack(std::size_t reactors, std::uint64_t allocs) {
+  std::fprintf(stderr,
+               "net_throughput: %zu reactor(s): %llu counted reactor "
+               "allocation(s); the first one's stack:\n",
+               reactors, static_cast<unsigned long long>(allocs));
+  const int depth = g_stack_depth.load(std::memory_order_acquire);
+  if (depth <= 0) {
+    std::fprintf(stderr, "  (not captured)\n");
+    return;
+  }
+  std::fflush(stderr);
+  backtrace_symbols_fd(g_first_stack, depth, STDERR_FILENO);
 }
 
 void* checked_malloc(std::size_t n) {
@@ -377,8 +418,7 @@ PointResult run_point(const Options& opt, std::size_t reactors,
         before.flush_syscalls += s.flush_syscalls;
         before.batch_flushes += s.batch_flushes;
       }
-      g_reactor_allocs.store(0, std::memory_order_relaxed);
-      g_alloc_window.store(true, std::memory_order_relaxed);
+      open_alloc_window();
     }
 
     for (auto& c : cs) {
@@ -437,6 +477,9 @@ PointResult run_point(const Options& opt, std::size_t reactors,
   r.ops_per_sec = static_cast<double>(r.ops) * 1e6 /
                   static_cast<double>(window_us > 0 ? window_us : 1);
   r.reactor_allocs = g_reactor_allocs.load(std::memory_order_relaxed);
+  if (r.reactor_allocs > 0) {
+    print_first_alloc_stack(reactors, r.reactor_allocs);
+  }
   r.allocs_per_op =
       r.ops > 0 ? static_cast<double>(r.reactor_allocs) /
                       static_cast<double>(r.ops)
@@ -485,6 +528,10 @@ PointResult run_point(const Options& opt, std::size_t reactors,
 
 int main(int argc, char** argv) {
   using namespace timedc;
+  // backtrace() loads its unwinder on first use; do that here, not inside
+  // a measurement window.
+  void* warm[1];
+  backtrace(warm, 1);
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -173,146 +173,6 @@ void Connection::flush_batched() {
   flush();
 }
 
-void Connection::send_frame(SiteId from, SiteId to, const Message& m) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_frame(from, to, m, scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
-void Connection::send_heartbeat(SiteId from, SiteId to,
-                                const wire::Heartbeat& hb) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_heartbeat_frame(from, to, hb, scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
-void Connection::send_time_sync(SiteId from, SiteId to,
-                                const wire::TimeSync& ts) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_time_sync_frame(from, to, ts, scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
-void Connection::send_stats_request(SiteId from, SiteId to,
-                                    const wire::StatsRequest& rq) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_stats_request_frame(from, to, rq, scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
-void Connection::send_stats_reply(SiteId from, SiteId to, std::uint64_t seq,
-                                  std::span<const wire::StatsBoardSpan> boards) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_stats_reply_frame(from, to, seq, boards, scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
-void Connection::send_membership(SiteId from, SiteId to, std::uint64_t epoch,
-                                 std::uint64_t ring_epoch,
-                                 std::span<const wire::MemberEntry> members) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_membership_frame(from, to, epoch, ring_epoch, members,
-                                scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
-void Connection::send_forward(SiteId from, SiteId to, std::uint8_t hops,
-                              bool serve_here, std::uint64_t ring_epoch,
-                              SiteId inner_from, SiteId inner_to,
-                              const Message& m) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_forward_frame(from, to, hops, serve_here, ring_epoch,
-                             inner_from, inner_to, m, scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
-void Connection::send_forward_raw(SiteId from, SiteId to, std::uint8_t hops,
-                                  bool serve_here, std::uint64_t ring_epoch,
-                                  std::span<const std::uint8_t> inner_frame) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_forward_frame_raw(from, to, hops, serve_here, ring_epoch,
-                                 inner_frame, scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
-void Connection::send_cacher_subscribe(SiteId from, SiteId to,
-                                       const wire::CacherSubscribe& cs) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_cacher_subscribe_frame(from, to, cs, scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
-void Connection::send_slice_sync(SiteId from, SiteId to,
-                                 const wire::SliceSyncRequest& rq) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_slice_sync_frame(from, to, rq, scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
-void Connection::send_slice_sync_reply(
-    SiteId from, SiteId to, std::uint64_t seq, std::uint64_t ring_epoch,
-    std::uint8_t status, std::uint32_t next_cursor,
-    std::span<const wire::SliceRecord> records) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_slice_sync_reply_frame(from, to, seq, ring_epoch, status,
-                                      next_cursor, records, scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
-void Connection::send_ring_update(SiteId from, SiteId to,
-                                  std::uint64_t ring_epoch,
-                                  std::span<const std::uint32_t> members) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_ring_update_frame(from, to, ring_epoch, members, scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
-void Connection::send_overloaded(SiteId from, SiteId to,
-                                 const wire::Overloaded& ov) {
-  if (closed()) return;
-  scratch_.clear();
-  wire::encode_overloaded_frame(from, to, ov, scratch_);
-  out_.append(scratch_.data(), scratch_.size());
-  ++stats_.frames_sent;
-  after_enqueue();
-}
-
 void Connection::send_raw_frame(std::span<const std::uint8_t> frame) {
   if (closed()) return;
   out_.append(frame.data(), frame.size());

@@ -89,64 +89,23 @@ class Connection {
   /// scheduler for the next tick.
   void flush_batched();
 
-  /// Queue one frame; flushes as far as the socket allows (immediately, or
-  /// at tick end in batched mode).
-  void send_frame(SiteId from, SiteId to, const Message& m);
+  /// Queue one frame built by `encode(args..., buf)`, where `encode` is a
+  /// wire::encode_*frame function; flushes as far as the socket allows
+  /// (immediately, or at tick end in batched mode). The encoder is a
+  /// template argument, so the call is direct and the send path stays
+  /// allocation-free: the frame is built in a reused scratch buffer.
+  template <auto encode, typename... Args>
+  void send_encoded(const Args&... args) {
+    if (closed()) return;
+    scratch_.clear();
+    encode(args..., scratch_);
+    send_raw_frame(scratch_);
+  }
 
-  /// Queue one transport-level heartbeat frame.
-  void send_heartbeat(SiteId from, SiteId to, const wire::Heartbeat& hb);
-
-  /// Queue one transport-level clock-sync frame.
-  void send_time_sync(SiteId from, SiteId to, const wire::TimeSync& ts);
-
-  /// Queue one transport-level stats-introspection request frame.
-  void send_stats_request(SiteId from, SiteId to,
-                          const wire::StatsRequest& rq);
-
-  /// Queue one transport-level stats-introspection reply frame.
-  void send_stats_reply(SiteId from, SiteId to, std::uint64_t seq,
-                        std::span<const wire::StatsBoardSpan> boards);
-
-  /// Queue one cluster membership gossip frame stamped with the sender's
-  /// ring epoch.
-  void send_membership(SiteId from, SiteId to, std::uint64_t epoch,
-                       std::uint64_t ring_epoch,
-                       std::span<const wire::MemberEntry> members);
-
-  /// Queue one kForward frame re-encoding `m` as the inner frame (the
-  /// decoded-message forward path: a local ObjectServer ruled itself
-  /// non-owner). `serve_here` marks a warm-up forward-through that the
-  /// receiver must serve locally; `ring_epoch` stamps the sender's ring.
-  void send_forward(SiteId from, SiteId to, std::uint8_t hops,
-                    bool serve_here, std::uint64_t ring_epoch,
-                    SiteId inner_from, SiteId inner_to, const Message& m);
-
-  /// Queue one kForward frame wrapping an already-encoded protocol frame
-  /// verbatim (the zero-decode forward path for misrouted arrivals).
-  void send_forward_raw(SiteId from, SiteId to, std::uint8_t hops,
-                        bool serve_here, std::uint64_t ring_epoch,
-                        std::span<const std::uint8_t> inner_frame);
-
-  /// Queue one cluster cacher-registration frame.
-  void send_cacher_subscribe(SiteId from, SiteId to,
-                             const wire::CacherSubscribe& cs);
-
-  /// Queue one anti-entropy slice-sync request frame.
-  void send_slice_sync(SiteId from, SiteId to,
-                       const wire::SliceSyncRequest& rq);
-
-  /// Queue one anti-entropy slice-sync reply batch.
-  void send_slice_sync_reply(SiteId from, SiteId to, std::uint64_t seq,
-                             std::uint64_t ring_epoch, std::uint8_t status,
-                             std::uint32_t next_cursor,
-                             std::span<const wire::SliceRecord> records);
-
-  /// Queue one ring-update hint frame (ring epoch + serving member list).
-  void send_ring_update(SiteId from, SiteId to, std::uint64_t ring_epoch,
-                        std::span<const std::uint32_t> members);
-
-  /// Queue one admission-shed kOverloaded reply frame.
-  void send_overloaded(SiteId from, SiteId to, const wire::Overloaded& ov);
+  /// Queue one protocol frame carrying `m`.
+  void send_frame(SiteId from, SiteId to, const Message& m) {
+    send_encoded<wire::encode_frame>(from, to, m);
+  }
 
   /// Queue a complete, already-encoded frame verbatim (the relay path:
   /// these bytes were peeked off another connection and keep their original

@@ -115,6 +115,11 @@ Connection* TcpTransport::adopt(std::shared_ptr<Connection> conn,
                                 bool steer_candidate) {
   Connection* raw = conn.get();
   conns_.emplace(raw, std::move(conn));
+  // A tick dirties each connection at most once, and on_tick_end swaps the
+  // two flush lists, so each must hold every connection: otherwise a busy
+  // tick regrows whichever list is the smaller, on the serving path.
+  dirty_conns_.reserve(conns_.size());
+  flushing_.reserve(conns_.size());
   if (steer_candidate) steer_candidates_.insert(raw);
   raw->start(
       [this](Connection& c, const wire::FrameView& v) { on_frame(c, v); },
@@ -189,13 +194,29 @@ void TcpTransport::enable_cluster(SiteId self) {
   cluster_self_ = self;
 }
 
+bool TcpTransport::supervised_route(SiteId site) const {
+  return supervision_.enabled && routes_.find(site.value) != routes_.end();
+}
+
 void TcpTransport::prime_supervised(SiteId site) {
-  if (!supervision_.enabled || routes_.find(site.value) == routes_.end()) {
-    return;
+  if (!supervised_route(site)) return;
+  if (peers_.try_emplace(site.value).second) start_dial(site);
+}
+
+Connection* TcpTransport::ready_connection(SiteId to) {
+  Connection* conn = nullptr;
+  if (supervised_route(to)) {
+    const auto [it, created] = peers_.try_emplace(to.value);
+    if (created) {
+      // No traffic has touched this route yet: start it like a send would.
+      start_dial(to);
+      return nullptr;
+    }
+    if (it->second.state == ConnectionState::kHealthy) conn = it->second.conn;
+  } else {
+    conn = connection_to(to);
   }
-  const auto [it, created] = peers_.try_emplace(site.value);
-  (void)it;
-  if (created) start_dial(site);
+  return conn != nullptr && !conn->closed() ? conn : nullptr;
 }
 
 bool TcpTransport::send_cacher_subscribe(SiteId from, SiteId to,
@@ -211,21 +232,10 @@ bool TcpTransport::send_cacher_subscribe(SiteId from, SiteId to,
     ++stats_.subscribes_sent;
     return true;
   }
-  Connection* conn = nullptr;
-  if (supervision_.enabled && routes_.find(to.value) != routes_.end()) {
-    const auto it = peers_.find(to.value);
-    if (it == peers_.end()) {
-      peers_.try_emplace(to.value);
-      start_dial(to);
-      return false;  // caller re-subscribes on the next miss (idempotent)
-    }
-    if (it->second.state != ConnectionState::kHealthy) return false;
-    conn = it->second.conn;
-  } else {
-    conn = connection_to(to);
-  }
-  if (conn == nullptr || conn->closed()) return false;
-  conn->send_cacher_subscribe(from, to, cs);
+  // Not sent: the caller re-subscribes on the next miss (idempotent).
+  Connection* conn = ready_connection(to);
+  if (conn == nullptr) return false;
+  conn->send_encoded<wire::encode_cacher_subscribe_frame>(from, to, cs);
   ++stats_.subscribes_sent;
   return true;
 }
@@ -271,7 +281,7 @@ void TcpTransport::send_message(SiteId from, SiteId to, Message m,
     pending_local_.push_back(LocalDelivery{from, to, std::move(m)});
     return;
   }
-  if (supervision_.enabled && routes_.find(to.value) != routes_.end()) {
+  if (supervised_route(to)) {
     supervised_send(from, to, std::move(m));
     return;
   }
@@ -309,8 +319,9 @@ void TcpTransport::emit_or_wrap(Connection* conn, SiteId from, SiteId to,
       // exactly as for a direct request, and its reply to the client routes
       // back through this connection (the owner learns the path on unwrap).
       if (dispatch_hops_ < kMaxForwardHops) {
-        conn->send_forward(cluster_self_, to, dispatch_hops_ + 1,
-                           /*serve_here=*/false, ring_epoch_, *rt, to, m);
+        conn->send_encoded<wire::encode_forward_frame>(
+            cluster_self_, to, static_cast<std::uint8_t>(dispatch_hops_ + 1),
+            /*serve_here=*/false, ring_epoch_, *rt, to, m);
         ++stats_.forwards_out;
         // The client picked the wrong server for this object: once the ring
         // has moved off the configured baseline, hint it with the current
@@ -343,29 +354,12 @@ bool TcpTransport::send_stats_request(SiteId from, SiteId to,
     // The polled process is this one: answer through the loop, like local
     // time-sync, so the reply handler never runs inside its own send.
     loop_.post([this, to, rq]() {
-      std::vector<StatsEntry> entries;
+      collect_stats(rq, loop_.now().as_micros());
       std::vector<wire::StatsRow> rows;
-      const std::int64_t now_us = loop_.now().as_micros();
-      auto append = [&](const StatsBoard& b) {
-        entries.clear();
-        b.collect(now_us, entries);
-        for (const StatsEntry& e : entries) {
-          rows.push_back({b.site(), e.key, e.value});
+      for (const wire::StatsBoardSpan& b : stats_spans_) {
+        for (const StatsEntry& e : b.entries) {
+          rows.push_back({b.site, e.key, e.value});
         }
-      };
-      if (stats_hub_ != nullptr) {
-        const std::size_t n = stats_hub_->size();
-        for (std::size_t i = 0; i < n; ++i) {
-          const StatsBoard* b = stats_hub_->board(i);
-          if (b != nullptr && (rq.target_site == wire::kAllSites ||
-                               b->site() == rq.target_site)) {
-            append(*b);
-          }
-        }
-      } else if (stats_board_ != nullptr &&
-                 (rq.target_site == wire::kAllSites ||
-                  stats_board_->site() == rq.target_site)) {
-        append(*stats_board_);
       }
       ++stats_.stats_requests_served;
       ++stats_.stats_replies_received;
@@ -373,21 +367,9 @@ bool TcpTransport::send_stats_request(SiteId from, SiteId to,
     });
     return true;
   }
-  Connection* conn = nullptr;
-  if (supervision_.enabled && routes_.find(to.value) != routes_.end()) {
-    const auto it = peers_.find(to.value);
-    if (it == peers_.end()) {
-      peers_.try_emplace(to.value);
-      start_dial(to);
-      return false;
-    }
-    if (it->second.state != ConnectionState::kHealthy) return false;
-    conn = it->second.conn;
-  } else {
-    conn = connection_to(to);
-  }
-  if (conn == nullptr || conn->closed()) return false;
-  conn->send_stats_request(from, to, rq);
+  Connection* conn = ready_connection(to);
+  if (conn == nullptr) return false;
+  conn->send_encoded<wire::encode_stats_request_frame>(from, to, rq);
   return true;
 }
 
@@ -408,23 +390,10 @@ bool TcpTransport::send_time_sync(SiteId from, SiteId to,
     ++stats_.time_requests_sent;
     return true;
   }
-  Connection* conn = nullptr;
-  if (supervision_.enabled && routes_.find(to.value) != routes_.end()) {
-    const auto it = peers_.find(to.value);
-    if (it == peers_.end()) {
-      // No traffic has touched this route yet; start it like a send would.
-      peers_.try_emplace(to.value);
-      start_dial(to);
-      return false;
-    }
-    if (it->second.state != ConnectionState::kHealthy) return false;
-    conn = it->second.conn;
-  } else {
-    conn = connection_to(to);
-  }
-  if (conn == nullptr || conn->closed()) return false;
+  Connection* conn = ready_connection(to);
+  if (conn == nullptr) return false;
   if (!ts.reply) ++stats_.time_requests_sent;
-  conn->send_time_sync(from, to, ts);
+  conn->send_encoded<wire::encode_time_sync_frame>(from, to, ts);
   return true;
 }
 
@@ -563,15 +532,15 @@ void TcpTransport::schedule_heartbeat(SiteId site, std::uint64_t generation) {
     hb.seq = peer.next_hb_seq++;
     hb.send_time_us = now_us;
     hb.reply = false;
-    peer.conn->send_heartbeat(SiteId{0}, site, hb);
+    peer.conn->send_encoded<wire::encode_heartbeat_frame>(SiteId{0}, site, hb);
     ++stats_.heartbeats_sent;
     if (cluster_enabled_ && membership_provider_) {
       // Gossip rides the supervision ticker: one membership digest per
       // heartbeat, to the same peer, on the same coalesced flush.
       std::uint64_t epoch = 0;
       membership_provider_(epoch, membership_scratch_);
-      peer.conn->send_membership(cluster_self_, site, epoch, ring_epoch_,
-                                 membership_scratch_);
+      peer.conn->send_encoded<wire::encode_membership_frame>(
+          cluster_self_, site, epoch, ring_epoch_, membership_scratch_);
       ++stats_.membership_sent;
     }
     schedule_heartbeat(site, generation);
@@ -674,8 +643,8 @@ void TcpTransport::on_frame(Connection& conn, const wire::FrameView& view) {
       // the owner either — but bounce the current serving ring back so the
       // stale sender stops forwarding into the past.
       ++stats_.stale_forwards;
-      conn.send_ring_update(cluster_self_, view.from, ring_epoch_,
-                            ring_members_);
+      conn.send_encoded<wire::encode_ring_update_frame>(
+          cluster_self_, view.from, ring_epoch_, ring_members_);
       ++stats_.ring_updates_sent;
     }
     // A serve-here forward (a WARMING owner's forward-through) pins the
@@ -703,106 +672,109 @@ void TcpTransport::on_frame(Connection& conn, const wire::FrameView& view) {
       return;
     }
   }
-  // Transport-internal frame (heartbeat, time-sync, stats, membership,
-  // cacher-subscribe): decode into the reused scratch frame and answer or
+  // Transport frame: decode into the reused scratch frame and answer or
   // deliver here, without handler dispatch or return-path learning.
   if (wire::decode_frame_view(view, scratch_frame_) !=
       wire::DecodeStatus::kOk) {
     conn.fail_decode(scratch_frame_.status);
     return;
   }
-  wire::DecodedFrame& frame = scratch_frame_;
-  if (frame.is_heartbeat) {
-    ++stats_.heartbeats_received;
-    if (!frame.heartbeat.reply) {
-      wire::Heartbeat pong = frame.heartbeat;
-      pong.reply = true;
-      conn.send_heartbeat(frame.to, frame.from, pong);
-    }
-    // Transport-internal: no return-path learning, no handler dispatch.
-    return;
-  }
-  if (frame.is_time_sync) {
-    // Transport-internal, like heartbeats: requests are answered with this
-    // process's reference clock, replies go to the registered sync client.
-    if (!frame.time_sync.reply) {
+  const wire::DecodedFrame& frame = scratch_frame_;
+  switch (frame.type) {
+    case wire::MsgType::kHeartbeat:
+      ++stats_.heartbeats_received;
+      if (!frame.heartbeat.reply) {
+        wire::Heartbeat pong = frame.heartbeat;
+        pong.reply = true;
+        conn.send_encoded<wire::encode_heartbeat_frame>(frame.to, frame.from,
+                                                        pong);
+      }
+      return;
+    case wire::MsgType::kTimeRequest: {
+      // Answered with this process's reference clock, like a heartbeat.
       wire::TimeSync reply = frame.time_sync;
       reply.reply = true;
       reply.server_time_us = (loop_.now() + time_source_offset_).as_micros();
-      conn.send_time_sync(frame.to, frame.from, reply);
+      conn.send_encoded<wire::encode_time_sync_frame>(frame.to, frame.from,
+                                                      reply);
       ++stats_.time_requests_served;
-    } else {
+      return;
+    }
+    case wire::MsgType::kTimeReply:
       ++stats_.time_replies_received;
       if (on_time_sync_) on_time_sync_(frame.from, frame.time_sync);
+      return;
+    case wire::MsgType::kStatsRequest:
+      // Any reactor answers, for every board the process hub knows
+      // (including stalled reactors' boards).
+      answer_stats(conn, frame.from, frame.to, frame.stats_request);
+      return;
+    case wire::MsgType::kStatsReply:
+      ++stats_.stats_replies_received;
+      if (on_stats_reply_) {
+        on_stats_reply_(frame.from, frame.stats_seq, frame.stats_rows);
+      }
+      return;
+    case wire::MsgType::kMembership:
+      ++stats_.membership_received;
+      if (on_membership_) {
+        on_membership_(frame.from, frame.membership_epoch,
+                       frame.membership_ring_epoch, frame.members);
+      }
+      return;
+    case wire::MsgType::kCacherSubscribe:
+      ++stats_.subscribes_received;
+      if (on_cacher_subscribe_) {
+        on_cacher_subscribe_(frame.to, frame.cacher_subscribe);
+      }
+      return;
+    case wire::MsgType::kSliceSync: {
+      // Anti-entropy donor path: the warming requester asks for its slice
+      // of our store. Answer on the arriving connection — the requester's
+      // warm driver owns retries, so an unconfigured donor still replies
+      // (not ready) rather than black-holing the warm-up.
+      ++stats_.slice_sync_served;
+      std::uint8_t status = wire::kSliceNotReady;
+      std::uint32_t next_cursor = frame.slice_sync.cursor;
+      slice_scratch_.clear();
+      if (slice_sync_server_) {
+        status = slice_sync_server_(frame.from, frame.slice_sync,
+                                    slice_scratch_, next_cursor);
+      }
+      conn.send_encoded<wire::encode_slice_sync_reply_frame>(
+          frame.to, frame.from, frame.slice_sync.seq, ring_epoch_, status,
+          next_cursor, slice_scratch_);
+      return;
     }
-    return;
-  }
-  if (frame.is_stats_request) {
-    // Transport-internal, like heartbeats: any reactor answers, for every
-    // board the process hub knows (including stalled reactors' boards).
-    answer_stats(conn, frame.from, frame.to, frame.stats_request);
-    return;
-  }
-  if (frame.is_stats_reply) {
-    ++stats_.stats_replies_received;
-    if (on_stats_reply_) {
-      on_stats_reply_(frame.from, frame.stats_seq, frame.stats_rows);
-    }
-    return;
-  }
-  if (frame.is_membership) {
-    ++stats_.membership_received;
-    if (on_membership_) {
-      on_membership_(frame.from, frame.membership_epoch,
-                     frame.membership_ring_epoch, frame.members);
-    }
-    return;
-  }
-  if (frame.is_cacher_subscribe) {
-    ++stats_.subscribes_received;
-    if (on_cacher_subscribe_) {
-      on_cacher_subscribe_(frame.to, frame.cacher_subscribe);
-    }
-    return;
-  }
-  if (frame.is_slice_sync) {
-    // Anti-entropy donor path: the warming requester asks for its slice of
-    // our store. Answer on the arriving connection — the requester's warm
-    // driver owns retries, so an unconfigured donor still replies (not
-    // ready) rather than black-holing the warm-up.
-    ++stats_.slice_sync_served;
-    std::uint8_t status = wire::kSliceNotReady;
-    std::uint32_t next_cursor = frame.slice_sync.cursor;
-    slice_scratch_.clear();
-    if (slice_sync_server_) {
-      status = slice_sync_server_(frame.from, frame.slice_sync,
-                                  slice_scratch_, next_cursor);
-    }
-    conn.send_slice_sync_reply(frame.to, frame.from, frame.slice_sync.seq,
-                               ring_epoch_, status, next_cursor,
-                               slice_scratch_);
-    return;
-  }
-  if (frame.is_slice_sync_reply) {
-    ++stats_.slice_sync_replies;
-    if (on_slice_sync_reply_) {
-      on_slice_sync_reply_(frame.from, frame.slice_seq, frame.slice_ring_epoch,
-                           frame.slice_status, frame.slice_next_cursor,
-                           frame.slice_records);
-    }
-    return;
-  }
-  if (frame.is_ring_update) {
-    ++stats_.ring_updates_received;
-    if (on_ring_update_) {
-      on_ring_update_(frame.from, frame.ring_update_epoch, frame.ring_members);
-    }
-    return;
-  }
-  if (frame.is_overloaded) {
-    ++stats_.overloaded_received;
-    if (on_overloaded_) on_overloaded_(frame.to, frame.overloaded);
-    return;
+    case wire::MsgType::kSliceSyncReply:
+      ++stats_.slice_sync_replies;
+      if (on_slice_sync_reply_) {
+        on_slice_sync_reply_(frame.from, frame.slice_seq,
+                             frame.slice_ring_epoch, frame.slice_status,
+                             frame.slice_next_cursor, frame.slice_records);
+      }
+      return;
+    case wire::MsgType::kRingUpdate:
+      ++stats_.ring_updates_received;
+      if (on_ring_update_) {
+        on_ring_update_(frame.from, frame.ring_update_epoch,
+                        frame.ring_members);
+      }
+      return;
+    case wire::MsgType::kOverloaded:
+      ++stats_.overloaded_received;
+      if (on_overloaded_) on_overloaded_(frame.to, frame.overloaded);
+      return;
+    case wire::MsgType::kFetchRequest:
+    case wire::MsgType::kFetchReply:
+    case wire::MsgType::kWriteRequest:
+    case wire::MsgType::kWriteAck:
+    case wire::MsgType::kValidateRequest:
+    case wire::MsgType::kValidateReply:
+    case wire::MsgType::kInvalidate:
+    case wire::MsgType::kPushUpdate:
+    case wire::MsgType::kForward:
+      return;  // dispatched above from the view, never decoded here
   }
 }
 
@@ -889,29 +861,21 @@ bool TcpTransport::relay_or_forward(Connection& conn,
   }
   // Forward: wrap the frame verbatim toward the supervised peer hosting
   // view.to (a misrouted client picked the wrong server for this object).
-  const auto peer_it = peers_.find(view.to.value);
-  if (peer_it != peers_.end() &&
-      peer_it->second.state == ConnectionState::kHealthy &&
-      peer_it->second.conn != nullptr && !peer_it->second.conn->closed()) {
-    // The owner's reply comes back here to be relayed: learn the path now,
-    // since this frame never reaches the dispatch below.
-    learn_return_path(view.from, conn, /*via_forwarder=*/hops > 0);
-    peer_it->second.conn->send_forward_raw(cluster_self_, view.to,
-                                           static_cast<std::uint8_t>(hops + 1),
-                                           /*serve_here=*/false, ring_epoch_,
-                                           wire::frame_bytes(view));
-    ++stats_.forwards_out;
-    maybe_hint_ring(view.from);
-    return true;
-  }
-  if (supervision_.enabled && peer_it == peers_.end() &&
-      routes_.find(view.to.value) != routes_.end()) {
-    // First traffic toward this peer: start the dial, drop the frame (the
-    // client's retry layer re-issues; queuing raw bytes would allocate).
-    peers_.try_emplace(view.to.value);
-    start_dial(SiteId{view.to.value});
-  }
-  return false;
+  // On first traffic toward that peer this starts the dial and drops the
+  // frame: the client's retry layer re-issues, and queuing raw bytes would
+  // allocate.
+  Connection* owner =
+      supervised_route(view.to) ? ready_connection(view.to) : nullptr;
+  if (owner == nullptr) return false;
+  // The owner's reply comes back here to be relayed: learn the path now,
+  // since this frame never reaches the dispatch below.
+  learn_return_path(view.from, conn, /*via_forwarder=*/hops > 0);
+  owner->send_encoded<wire::encode_forward_frame_raw>(
+      cluster_self_, view.to, static_cast<std::uint8_t>(hops + 1),
+      /*serve_here=*/false, ring_epoch_, wire::frame_bytes(view));
+  ++stats_.forwards_out;
+  maybe_hint_ring(view.from);
+  return true;
 }
 
 void TcpTransport::learn_return_path(SiteId site, Connection& conn,
@@ -941,7 +905,7 @@ Connection* TcpTransport::relay_target(SiteId site,
   return target->closed() || target == &arrival ? nullptr : target;
 }
 
-// --- self-healing (wire v6) -------------------------------------------------
+// --- self-healing -----------------------------------------------------------
 
 void TcpTransport::set_ring(std::uint64_t epoch,
                             std::span<const std::uint32_t> members) {
@@ -956,8 +920,8 @@ void TcpTransport::maybe_hint_ring(SiteId client) {
   const auto it = peer_conn_.find(client.value);
   if (it == peer_conn_.end() || it->second.conn->closed()) return;
   hinted = ring_epoch_;
-  it->second.conn->send_ring_update(cluster_self_, client, ring_epoch_,
-                                    ring_members_);
+  it->second.conn->send_encoded<wire::encode_ring_update_frame>(
+      cluster_self_, client, ring_epoch_, ring_members_);
   ++stats_.ring_updates_sent;
 }
 
@@ -980,21 +944,10 @@ void TcpTransport::purge_member(SiteId site) {
 
 bool TcpTransport::send_slice_sync(SiteId from, SiteId to,
                                    const wire::SliceSyncRequest& rq) {
-  Connection* conn = nullptr;
-  if (supervision_.enabled && routes_.find(to.value) != routes_.end()) {
-    const auto it = peers_.find(to.value);
-    if (it == peers_.end()) {
-      peers_.try_emplace(to.value);
-      start_dial(to);
-      return false;  // the warm driver retries on its own cadence
-    }
-    if (it->second.state != ConnectionState::kHealthy) return false;
-    conn = it->second.conn;
-  } else {
-    conn = connection_to(to);
-  }
-  if (conn == nullptr || conn->closed()) return false;
-  conn->send_slice_sync(from, to, rq);
+  // Not sent: the warm driver retries on its own cadence.
+  Connection* conn = ready_connection(to);
+  if (conn == nullptr) return false;
+  conn->send_encoded<wire::encode_slice_sync_frame>(from, to, rq);
   ++stats_.slice_sync_sent;
   return true;
 }
@@ -1007,35 +960,25 @@ bool TcpTransport::send_overloaded(SiteId from, SiteId to,
           ? learned->second.conn
           : connection_to(to);
   if (conn == nullptr || conn->closed()) return false;
-  conn->send_overloaded(from, to, ov);
+  conn->send_encoded<wire::encode_overloaded_frame>(from, to, ov);
   ++stats_.overloaded_sent;
   return true;
 }
 
 bool TcpTransport::forward_serve_here(SiteId inner_from, SiteId donor,
                                       const Message& m) {
-  Connection* conn = nullptr;
-  if (supervision_.enabled && routes_.find(donor.value) != routes_.end()) {
-    const auto it = peers_.find(donor.value);
-    if (it == peers_.end()) {
-      peers_.try_emplace(donor.value);
-      start_dial(donor);
-      return false;  // caller falls back to serving its (cold) local state
-    }
-    if (it->second.state != ConnectionState::kHealthy) return false;
-    conn = it->second.conn;
-  } else {
-    conn = connection_to(donor);
-  }
-  if (conn == nullptr || conn->closed()) return false;
-  conn->send_forward(cluster_self_, donor, /*hops=*/1, /*serve_here=*/true,
-                     ring_epoch_, inner_from, donor, m);
+  // Not sent: the caller falls back to serving its (cold) local state.
+  Connection* conn = ready_connection(donor);
+  if (conn == nullptr) return false;
+  conn->send_encoded<wire::encode_forward_frame>(
+      cluster_self_, donor, /*hops=*/std::uint8_t{1}, /*serve_here=*/true,
+      ring_epoch_, inner_from, donor, m);
   ++stats_.forwards_out;
   return true;
 }
 
-void TcpTransport::answer_stats(Connection& conn, SiteId requester,
-                                SiteId self, const wire::StatsRequest& rq) {
+void TcpTransport::collect_stats(const wire::StatsRequest& rq,
+                                 std::int64_t now_us) {
   stats_scratch_.clear();
   stats_spans_.clear();
   struct Range {
@@ -1045,7 +988,6 @@ void TcpTransport::answer_stats(Connection& conn, SiteId requester,
   };
   Range ranges[wire::kMaxStatsBoards];
   std::size_t n_ranges = 0;
-  const std::int64_t now_us = loop_.now().as_micros();
   auto append = [&](const StatsBoard& b) {
     if (n_ranges >= wire::kMaxStatsBoards) return;
     const std::size_t begin = stats_scratch_.size();
@@ -1073,12 +1015,20 @@ void TcpTransport::answer_stats(Connection& conn, SiteId requester,
          std::span<const StatsEntry>(stats_scratch_.data() + ranges[i].begin,
                                      ranges[i].count)});
   }
+}
+
+void TcpTransport::answer_stats(Connection& conn, SiteId requester,
+                                SiteId self, const wire::StatsRequest& rq) {
+  const std::int64_t now_us = loop_.now().as_micros();
+  collect_stats(rq, now_us);
   ++stats_.stats_requests_served;
   // An empty reply (no boards) still goes out so pollers never hang.
-  conn.send_stats_reply(self, requester, rq.seq, stats_spans_);
+  conn.send_encoded<wire::encode_stats_reply_frame>(self, requester, rq.seq,
+                                                    stats_spans_);
   if (flight_ != nullptr) {
     const std::int64_t reply_bytes = static_cast<std::int64_t>(
-        wire::kHeaderBytes + 12 + n_ranges * 8 + stats_scratch_.size() * 10);
+        wire::kHeaderBytes + 12 + stats_spans_.size() * 8 +
+        stats_scratch_.size() * 10);
     flight_->record(TraceEventType::kStatsScrape, now_us, kNoObject, rq.seq,
                     static_cast<std::int64_t>(requester.value), reply_bytes);
   }

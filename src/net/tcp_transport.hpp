@@ -142,7 +142,7 @@ struct TcpTransportStats {
   std::uint64_t frames_requeued = 0;     // flushed after a reconnect
   std::uint64_t frames_dropped_queue_full = 0;
   std::uint64_t frames_dropped_peer_dead = 0;
-  // Self-healing (wire v6; all zero until the rebalance path is exercised):
+  // Self-healing (all zero until the rebalance path is exercised):
   std::uint64_t stale_forwards = 0;      // kForward arrivals with an older ring epoch
   std::uint64_t ring_updates_sent = 0;   // kRingUpdate hints emitted
   std::uint64_t ring_updates_received = 0;
@@ -270,7 +270,7 @@ class TcpTransport final : public Transport {
   /// feed the board's stage histograms; the rest pay one counter bump.
   static constexpr std::uint64_t kStageSamplePeriod = 64;
 
-  // --- cluster (wire v5) ---------------------------------------------------
+  // --- cluster ---------------------------------------------------------------
   // A cluster-enabled transport turns N server processes into one object
   // space at the frame level, without the protocol layer noticing:
   //
@@ -318,14 +318,14 @@ class TcpTransport final : public Transport {
 
   /// Observe received kMembership digests: (gossiping peer, epoch, sender's
   /// ring epoch, entries). Entries alias decode scratch and die when the
-  /// handler returns. The ring epoch is 0 from a v5 peer.
+  /// handler returns.
   using MembershipHandler = std::function<void(
       SiteId, std::uint64_t, std::uint64_t, std::span<const wire::MemberEntry>)>;
   void set_membership_handler(MembershipHandler h) {
     on_membership_ = std::move(h);
   }
 
-  // --- self-healing (wire v6) ----------------------------------------------
+  // --- self-healing --------------------------------------------------------
 
   /// Install the serving ring this transport stamps on outgoing kForward /
   /// kMembership frames and advertises in kRingUpdate hints. `epoch` is the
@@ -503,8 +503,10 @@ class TcpTransport final : public Transport {
   /// The batching point: apply queued local deliveries (draining anything
   /// they enqueue in turn), then gather-flush every dirty connection once.
   void on_tick_end();
-  /// Build and send a kStatsReply for `rq` on `conn` (from the hub when
-  /// set, else the local board; zero boards when neither).
+  /// Fill stats_spans_ (over stats_scratch_) with the boards `rq` asks
+  /// for: from the hub when set, else the local board; none when neither.
+  void collect_stats(const wire::StatsRequest& rq, std::int64_t now_us);
+  /// Build and send a kStatsReply for `rq` on `conn`.
   void answer_stats(Connection& conn, SiteId from, SiteId to,
                     const wire::StatsRequest& rq);
   /// Tick-cadence bookkeeping: watchdog accounting plus publishing the
@@ -513,6 +515,13 @@ class TcpTransport final : public Transport {
   /// The connection frames to `to` should use: learned peer, open route
   /// connection, or a fresh dial. Null when unroutable.
   Connection* connection_to(SiteId to);
+  /// True when `site` has a route and supervision is on.
+  bool supervised_route(SiteId site) const;
+  /// Where a sender that never queues (time sync, stats, slice sync, cacher
+  /// subscribe, forwards) may write right now. A supervised route offers
+  /// only its healthy connection; on first touch it starts the dial and
+  /// returns null. Other sites use connection_to(). Null means "not sent".
+  Connection* ready_connection(SiteId to);
   /// Send `client` a kRingUpdate over its learned path, once per serving
   /// ring epoch (no-op on the baseline ring or when already hinted).
   void maybe_hint_ring(SiteId client);

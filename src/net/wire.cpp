@@ -211,10 +211,18 @@ class Reader {
     return v == 1;
   }
 
+  /// Everything not yet read (the wrapped frame of a kForward).
+  std::span<const std::uint8_t> rest() {
+    const std::span<const std::uint8_t> left = body_.subspan(at_);
+    at_ = body_.size();
+    return left;
+  }
+
   void fail(DecodeStatus why) {
     if (status_ == DecodeStatus::kOk) status_ = why;
   }
   DecodeStatus status() const { return status_; }
+  bool ok() const { return status_ == DecodeStatus::kOk; }
   bool exhausted() const { return at_ == body_.size(); }
 
  private:
@@ -231,83 +239,6 @@ class Reader {
   DecodeStatus status_ = DecodeStatus::kOk;
 };
 
-Message decode_body(MsgType type, Reader& r) {
-  switch (type) {
-    case MsgType::kFetchRequest: {
-      FetchRequest m;
-      m.object = ObjectId{r.u32()};
-      m.reply_to = SiteId{r.u32()};
-      m.request_id = r.u64();
-      return m;
-    }
-    case MsgType::kFetchReply: {
-      FetchReply m;
-      m.copy = r.copy();
-      m.request_id = r.u64();
-      return m;
-    }
-    case MsgType::kWriteRequest: {
-      WriteRequest m;
-      m.object = ObjectId{r.u32()};
-      m.value = Value{r.i64()};
-      m.client_time = r.time();
-      m.write_ts = r.timestamp();
-      m.reply_to = SiteId{r.u32()};
-      m.request_id = r.u64();
-      return m;
-    }
-    case MsgType::kWriteAck: {
-      WriteAck m;
-      m.object = ObjectId{r.u32()};
-      m.version = r.u64();
-      m.request_id = r.u64();
-      return m;
-    }
-    case MsgType::kValidateRequest: {
-      ValidateRequest m;
-      m.object = ObjectId{r.u32()};
-      m.version = r.u64();
-      m.reply_to = SiteId{r.u32()};
-      m.request_id = r.u64();
-      return m;
-    }
-    case MsgType::kValidateReply: {
-      ValidateReply m;
-      m.object = ObjectId{r.u32()};
-      m.still_valid = r.boolean();
-      m.copy = r.copy();
-      m.request_id = r.u64();
-      return m;
-    }
-    case MsgType::kInvalidate: {
-      Invalidate m;
-      m.object = ObjectId{r.u32()};
-      m.version = r.u64();
-      return m;
-    }
-    case MsgType::kPushUpdate: {
-      PushUpdate m;
-      m.copy = r.copy();
-      return m;
-    }
-    case MsgType::kHeartbeat:
-    case MsgType::kTimeRequest:
-    case MsgType::kTimeReply:
-    case MsgType::kStatsRequest:
-    case MsgType::kStatsReply:
-    case MsgType::kMembership:
-    case MsgType::kForward:
-    case MsgType::kCacherSubscribe:
-    case MsgType::kSliceSync:
-    case MsgType::kSliceSyncReply:
-    case MsgType::kOverloaded:
-    case MsgType::kRingUpdate:
-      break;  // handled in decode_frame, never reaches decode_body
-  }
-  TIMEDC_ASSERT(false && "unreachable: type validated before decode_body");
-  return FetchRequest{};
-}
-
 std::uint32_t read_u32_at(std::span<const std::uint8_t> buf, std::size_t at) {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf[at + i]) << (8 * i);
@@ -322,12 +253,56 @@ void grow_for_append(std::vector<std::uint8_t>& out, std::size_t extra) {
   if (need > out.capacity()) out.reserve(std::max(need, out.capacity() * 2));
 }
 
-// v6 kForward body prefix: [flags+hops u8][ring_epoch u64]. Bit 7 of the
+/// Append the 16-byte header of a frame with a `body`-byte body onto `out`,
+/// with room reserved for the body, and return the Writer for the body.
+Writer begin_frame(MsgType type, SiteId from, SiteId to, std::size_t body,
+                   std::vector<std::uint8_t>& out) {
+  TIMEDC_ASSERT(body <= kMaxBodyBytes);
+  grow_for_append(out, kHeaderBytes + body);
+  Writer w(out);
+  w.u16(kMagic);
+  w.u8(kVersion);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u32(from.value);
+  w.u32(to.value);
+  w.u32(static_cast<std::uint32_t>(body));
+  return w;
+}
+
+// kForward body prefix: [flags+hops u8][ring_epoch u64]. Bit 7 of the
 // first byte is serve-here, the low 4 bits are the hop count, the bits in
-// between must be zero. A v5 body carries the bare hop byte only.
+// between must be zero.
 inline constexpr std::uint8_t kForwardServeHereBit = 0x80;
 inline constexpr std::uint8_t kForwardHopsMask = 0x0f;
-inline constexpr std::size_t kForwardPrefixV6 = 1 + 8;
+inline constexpr std::size_t kForwardPrefixBytes = 1 + 8;
+
+/// Append a kForward header and body prefix for an `inner_size`-byte
+/// wrapped frame; the caller appends the frame itself.
+void begin_forward(SiteId from, SiteId to, std::uint8_t hops, bool serve_here,
+                   std::uint64_t ring_epoch, std::size_t inner_size,
+                   std::vector<std::uint8_t>& out) {
+  TIMEDC_ASSERT(hops <= kForwardHopsMask);
+  Writer w = begin_frame(MsgType::kForward, from, to,
+                         kForwardPrefixBytes + inner_size, out);
+  w.u8(static_cast<std::uint8_t>((serve_here ? kForwardServeHereBit : 0) |
+                                 hops));
+  w.u64(ring_epoch);
+}
+
+// Reserved bits fail the reader only after both fields are read: the
+// transport's peek_forward_prefix still gets the fields, while
+// decode_frame_view rejects the frame.
+ForwardPrefix read_forward_prefix(Reader& r) {
+  const std::uint8_t flags = r.u8();
+  ForwardPrefix prefix;
+  prefix.hops = flags & kForwardHopsMask;
+  prefix.serve_here = (flags & kForwardServeHereBit) != 0;
+  prefix.ring_epoch = r.u64();
+  if ((flags & ~(kForwardServeHereBit | kForwardHopsMask)) != 0) {
+    r.fail(DecodeStatus::kBadField);
+  }
+  return prefix;
+}
 
 }  // namespace
 
@@ -335,17 +310,18 @@ std::size_t encoded_frame_size(const Message& m) {
   return kHeaderBytes + type_and_size(m).body;
 }
 
+void encode_frame(SiteId from, SiteId to, const Message& m,
+                  std::vector<std::uint8_t>& out) {
+  const TypeAndSize ts = type_and_size(m);
+  Writer w = begin_frame(ts.type, from, to, ts.body, out);
+  const std::size_t body_start = out.size();
+  encode_body(w, m);
+  TIMEDC_ASSERT(out.size() - body_start == ts.body);
+}
+
 void encode_heartbeat_frame(SiteId from, SiteId to, const Heartbeat& hb,
                             std::vector<std::uint8_t>& out) {
-  constexpr std::size_t kBody = 8 + 8 + 1;
-  grow_for_append(out, kHeaderBytes + kBody);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kHeartbeat));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(kBody);
+  Writer w = begin_frame(MsgType::kHeartbeat, from, to, 8 + 8 + 1, out);
   w.u64(hb.seq);
   w.i64(hb.send_time_us);
   w.u8(hb.reply ? 1 : 0);
@@ -353,16 +329,8 @@ void encode_heartbeat_frame(SiteId from, SiteId to, const Heartbeat& hb,
 
 void encode_time_sync_frame(SiteId from, SiteId to, const TimeSync& ts,
                             std::vector<std::uint8_t>& out) {
-  constexpr std::size_t kBody = 8 + 8 + 8;
-  grow_for_append(out, kHeaderBytes + kBody);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(ts.reply ? MsgType::kTimeReply
-                                          : MsgType::kTimeRequest));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(kBody);
+  Writer w = begin_frame(ts.reply ? MsgType::kTimeReply : MsgType::kTimeRequest,
+                         from, to, 8 + 8 + 8, out);
   w.u64(ts.seq);
   w.i64(ts.client_send_us);
   w.i64(ts.server_time_us);
@@ -371,15 +339,7 @@ void encode_time_sync_frame(SiteId from, SiteId to, const TimeSync& ts,
 void encode_stats_request_frame(SiteId from, SiteId to,
                                 const StatsRequest& rq,
                                 std::vector<std::uint8_t>& out) {
-  constexpr std::size_t kBody = 8 + 4;
-  grow_for_append(out, kHeaderBytes + kBody);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kStatsRequest));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(kBody);
+  Writer w = begin_frame(MsgType::kStatsRequest, from, to, 8 + 4, out);
   w.u64(rq.seq);
   w.u32(rq.target_site);
 }
@@ -393,15 +353,7 @@ void encode_stats_reply_frame(SiteId from, SiteId to, std::uint64_t seq,
     TIMEDC_ASSERT(b.entries.size() <= kMaxStatsEntries);
     body += 4 + 4 + b.entries.size() * (2 + 8);
   }
-  TIMEDC_ASSERT(body <= kMaxBodyBytes);
-  grow_for_append(out, kHeaderBytes + body);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kStatsReply));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(static_cast<std::uint32_t>(body));
+  Writer w = begin_frame(MsgType::kStatsReply, from, to, body, out);
   w.u64(seq);
   w.u32(static_cast<std::uint32_t>(boards.size()));
   for (const StatsBoardSpan& b : boards) {
@@ -419,15 +371,8 @@ void encode_membership_frame(SiteId from, SiteId to, std::uint64_t epoch,
                              std::span<const MemberEntry> members,
                              std::vector<std::uint8_t>& out) {
   TIMEDC_ASSERT(members.size() <= kMaxMembers);
-  const std::size_t body = 8 + 8 + 4 + members.size() * (4 + 8 + 1);
-  grow_for_append(out, kHeaderBytes + body);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kMembership));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(static_cast<std::uint32_t>(body));
+  Writer w = begin_frame(MsgType::kMembership, from, to,
+                         8 + 8 + 4 + members.size() * (4 + 8 + 1), out);
   w.u64(epoch);
   w.u64(ring_epoch);
   w.u32(static_cast<std::uint32_t>(members.size()));
@@ -442,20 +387,8 @@ void encode_forward_frame_raw(SiteId from, SiteId to, std::uint8_t hops,
                               bool serve_here, std::uint64_t ring_epoch,
                               std::span<const std::uint8_t> inner_frame,
                               std::vector<std::uint8_t>& out) {
-  TIMEDC_ASSERT(hops <= kForwardHopsMask);
-  const std::size_t body = kForwardPrefixV6 + inner_frame.size();
-  TIMEDC_ASSERT(body <= kMaxBodyBytes);
-  grow_for_append(out, kHeaderBytes + body);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kForward));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(static_cast<std::uint32_t>(body));
-  w.u8(static_cast<std::uint8_t>((serve_here ? kForwardServeHereBit : 0) |
-                                 hops));
-  w.u64(ring_epoch);
+  begin_forward(from, to, hops, serve_here, ring_epoch, inner_frame.size(),
+                out);
   out.insert(out.end(), inner_frame.begin(), inner_frame.end());
 }
 
@@ -464,36 +397,24 @@ void encode_forward_frame(SiteId from, SiteId to, std::uint8_t hops,
                           SiteId inner_from, SiteId inner_to,
                           const Message& inner,
                           std::vector<std::uint8_t>& out) {
-  TIMEDC_ASSERT(hops <= kForwardHopsMask);
-  const std::size_t inner_size = encoded_frame_size(inner);
-  const std::size_t body = kForwardPrefixV6 + inner_size;
-  TIMEDC_ASSERT(body <= kMaxBodyBytes);
-  grow_for_append(out, kHeaderBytes + body);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kForward));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(static_cast<std::uint32_t>(body));
-  w.u8(static_cast<std::uint8_t>((serve_here ? kForwardServeHereBit : 0) |
-                                 hops));
-  w.u64(ring_epoch);
+  begin_forward(from, to, hops, serve_here, ring_epoch,
+                encoded_frame_size(inner), out);
   encode_frame(inner_from, inner_to, inner, out);
+}
+
+void encode_cacher_subscribe_frame(SiteId from, SiteId to,
+                                   const CacherSubscribe& cs,
+                                   std::vector<std::uint8_t>& out) {
+  Writer w = begin_frame(MsgType::kCacherSubscribe, from, to, 4 + 4 + 1, out);
+  w.u32(cs.object.value);
+  w.u32(cs.cacher.value);
+  w.u8(cs.mode);
 }
 
 void encode_slice_sync_frame(SiteId from, SiteId to,
                              const SliceSyncRequest& rq,
                              std::vector<std::uint8_t>& out) {
-  constexpr std::size_t kBody = 8 + 8 + 4 + 4 + 8;
-  grow_for_append(out, kHeaderBytes + kBody);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kSliceSync));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(kBody);
+  Writer w = begin_frame(MsgType::kSliceSync, from, to, 8 + 8 + 4 + 4 + 8, out);
   w.u64(rq.seq);
   w.u64(rq.ring_epoch);
   w.u32(rq.cursor);
@@ -509,16 +430,9 @@ void encode_slice_sync_reply_frame(SiteId from, SiteId to, std::uint64_t seq,
                                    std::vector<std::uint8_t>& out) {
   TIMEDC_ASSERT(records.size() <= kMaxSliceRecords);
   TIMEDC_ASSERT(status <= kSliceNotReady);
-  const std::size_t body =
-      8 + 8 + 1 + 4 + 4 + records.size() * (4 + 8 + 8 + 8 + 4 + 8);
-  grow_for_append(out, kHeaderBytes + body);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kSliceSyncReply));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(static_cast<std::uint32_t>(body));
+  Writer w = begin_frame(
+      MsgType::kSliceSyncReply, from, to,
+      8 + 8 + 1 + 4 + 4 + records.size() * (4 + 8 + 8 + 8 + 4 + 8), out);
   w.u64(seq);
   w.u64(ring_epoch);
   w.u8(status);
@@ -534,72 +448,23 @@ void encode_slice_sync_reply_frame(SiteId from, SiteId to, std::uint64_t seq,
   }
 }
 
-void encode_ring_update_frame(SiteId from, SiteId to, std::uint64_t ring_epoch,
-                              std::span<const std::uint32_t> members,
-                              std::vector<std::uint8_t>& out) {
-  TIMEDC_ASSERT(members.size() <= kMaxMembers);
-  const std::size_t body = 8 + 4 + members.size() * 4;
-  grow_for_append(out, kHeaderBytes + body);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kRingUpdate));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(static_cast<std::uint32_t>(body));
-  w.u64(ring_epoch);
-  w.u32(static_cast<std::uint32_t>(members.size()));
-  for (std::uint32_t site : members) w.u32(site);
-}
-
 void encode_overloaded_frame(SiteId from, SiteId to, const Overloaded& ov,
                              std::vector<std::uint8_t>& out) {
-  constexpr std::size_t kBody = 4 + 8 + 8;
-  grow_for_append(out, kHeaderBytes + kBody);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kOverloaded));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(kBody);
+  Writer w = begin_frame(MsgType::kOverloaded, from, to, 4 + 8 + 8, out);
   w.u32(ov.object);
   w.u64(ov.request_id);
   w.i64(ov.retry_after_us);
 }
 
-void encode_cacher_subscribe_frame(SiteId from, SiteId to,
-                                   const CacherSubscribe& cs,
-                                   std::vector<std::uint8_t>& out) {
-  constexpr std::size_t kBody = 4 + 4 + 1;
-  grow_for_append(out, kHeaderBytes + kBody);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kCacherSubscribe));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(kBody);
-  w.u32(cs.object.value);
-  w.u32(cs.cacher.value);
-  w.u8(cs.mode);
-}
-
-void encode_frame(SiteId from, SiteId to, const Message& m,
-                  std::vector<std::uint8_t>& out) {
-  const TypeAndSize ts = type_and_size(m);
-  TIMEDC_ASSERT(ts.body <= kMaxBodyBytes);
-  grow_for_append(out, kHeaderBytes + ts.body);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(ts.type));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(static_cast<std::uint32_t>(ts.body));
-  const std::size_t body_start = out.size();
-  encode_body(w, m);
-  TIMEDC_ASSERT(out.size() - body_start == ts.body);
+void encode_ring_update_frame(SiteId from, SiteId to, std::uint64_t ring_epoch,
+                              std::span<const std::uint32_t> members,
+                              std::vector<std::uint8_t>& out) {
+  TIMEDC_ASSERT(members.size() <= kMaxMembers);
+  Writer w = begin_frame(MsgType::kRingUpdate, from, to,
+                         8 + 4 + members.size() * 4, out);
+  w.u64(ring_epoch);
+  w.u32(static_cast<std::uint32_t>(members.size()));
+  for (std::uint32_t site : members) w.u32(site);
 }
 
 FrameView peek_frame(std::span<const std::uint8_t> buf) {
@@ -614,25 +479,14 @@ FrameView peek_frame(std::span<const std::uint8_t> buf) {
     return view;
   }
   if (buf.size() < 3) return view;
-  const std::uint8_t version = buf[2];
-  if (version < kMinVersion || version > kVersion) {
+  if (buf[2] != kVersion) {
     view.status = DecodeStatus::kBadVersion;
     return view;
   }
   if (buf.size() < 4) return view;
   const std::uint8_t raw_type = buf[3];
-  // Each transport-level type only exists from the codec version that
-  // introduced it on (kHeartbeat: 2, kTimeRequest/kTimeReply: 3); an older
-  // frame declaring a newer type is malformed, not merely new.
-  const std::uint8_t max_type =
-      version >= 6   ? static_cast<std::uint8_t>(MsgType::kRingUpdate)
-      : version == 5 ? static_cast<std::uint8_t>(MsgType::kCacherSubscribe)
-      : version == 4 ? static_cast<std::uint8_t>(MsgType::kStatsReply)
-      : version == 3 ? static_cast<std::uint8_t>(MsgType::kTimeReply)
-      : version == 2 ? static_cast<std::uint8_t>(MsgType::kHeartbeat)
-                     : static_cast<std::uint8_t>(MsgType::kPushUpdate);
   if (raw_type < static_cast<std::uint8_t>(MsgType::kFetchRequest) ||
-      raw_type > max_type) {
+      raw_type > static_cast<std::uint8_t>(kLastMsgType)) {
     view.status = DecodeStatus::kBadType;
     return view;
   }
@@ -648,7 +502,6 @@ FrameView peek_frame(std::span<const std::uint8_t> buf) {
   view.status = DecodeStatus::kOk;
   view.consumed = kHeaderBytes + body_len;
   view.type = static_cast<MsgType>(raw_type);
-  view.version = version;
   view.body = buf.subspan(kHeaderBytes, body_len);
   return view;
 }
@@ -656,14 +509,12 @@ FrameView peek_frame(std::span<const std::uint8_t> buf) {
 FrameView peek_forward_inner(const FrameView& outer) {
   FrameView inner;
   inner.status = DecodeStatus::kBadField;
-  // The prefix before the wrapped frame is version-gated: v6 added the
-  // ring epoch after the flags byte.
-  const std::size_t prefix = outer.version >= 6 ? kForwardPrefixV6 : 1;
   if (!outer.ok() || outer.type != MsgType::kForward ||
-      outer.body.size() < prefix) {
+      outer.body.size() < kForwardPrefixBytes) {
     return inner;
   }
-  const std::span<const std::uint8_t> wrapped = outer.body.subspan(prefix);
+  const std::span<const std::uint8_t> wrapped =
+      outer.body.subspan(kForwardPrefixBytes);
   FrameView peeked = peek_frame(wrapped);
   // A forged inner length can only land here as kNeedMore (the wrapped
   // bytes end before the declared body does) — still kBadField for the
@@ -679,22 +530,12 @@ FrameView peek_forward_inner(const FrameView& outer) {
 }
 
 ForwardPrefix peek_forward_prefix(const FrameView& outer) {
-  ForwardPrefix prefix;
-  if (outer.type != MsgType::kForward || outer.body.empty()) return prefix;
-  const std::uint8_t first = outer.body[0];
-  if (outer.version >= 6) {
-    if (outer.body.size() < kForwardPrefixV6) return prefix;
-    prefix.hops = first & kForwardHopsMask;
-    prefix.serve_here = (first & kForwardServeHereBit) != 0;
-    std::uint64_t epoch = 0;
-    for (int i = 0; i < 8; ++i) {
-      epoch |= static_cast<std::uint64_t>(outer.body[1 + i]) << (8 * i);
-    }
-    prefix.ring_epoch = epoch;
-  } else {
-    prefix.hops = first;
+  if (outer.type != MsgType::kForward ||
+      outer.body.size() < kForwardPrefixBytes) {
+    return {};
   }
-  return prefix;
+  Reader r(outer.body);
+  return read_forward_prefix(r);
 }
 
 DecodeStatus decode_frame_view(const FrameView& view, DecodedFrame& out) {
@@ -702,217 +543,142 @@ DecodeStatus decode_frame_view(const FrameView& view, DecodedFrame& out) {
   out.consumed = 0;
   out.from = view.from;
   out.to = view.to;
-  out.is_heartbeat = false;
-  out.is_time_sync = false;
-  out.is_stats_request = false;
-  out.is_stats_reply = false;
-  out.is_membership = false;
-  out.is_forward = false;
-  out.is_cacher_subscribe = false;
-  out.is_slice_sync = false;
-  out.is_slice_sync_reply = false;
-  out.is_ring_update = false;
-  out.is_overloaded = false;
+  out.type = view.type;
   if (!view.ok()) return out.status;
 
+  // Every case reads its fields straight into `out`. A field that fails
+  // validation poisons the reader, so the epilogue after the switch is the
+  // only place that classifies a body. Braced initializers evaluate their
+  // clauses left to right, so each reads its fields in wire order.
   Reader r(view.body);
-  if (view.type == MsgType::kHeartbeat) {
-    Heartbeat hb;
-    hb.seq = r.u64();
-    hb.send_time_us = r.i64();
-    hb.reply = r.boolean();
-    if (r.status() != DecodeStatus::kOk) return out.status = r.status();
-    if (!r.exhausted()) return out.status = DecodeStatus::kTrailingBytes;
-    out.consumed = view.consumed;
-    out.is_heartbeat = true;
-    out.heartbeat = hb;
-    return out.status = DecodeStatus::kOk;
-  }
-  if (view.type == MsgType::kTimeRequest || view.type == MsgType::kTimeReply) {
-    TimeSync ts;
-    ts.seq = r.u64();
-    ts.client_send_us = r.i64();
-    ts.server_time_us = r.i64();
-    ts.reply = view.type == MsgType::kTimeReply;
-    if (r.status() != DecodeStatus::kOk) return out.status = r.status();
-    if (!r.exhausted()) return out.status = DecodeStatus::kTrailingBytes;
-    out.consumed = view.consumed;
-    out.is_time_sync = true;
-    out.time_sync = ts;
-    return out.status = DecodeStatus::kOk;
-  }
-  if (view.type == MsgType::kStatsRequest) {
-    StatsRequest rq;
-    rq.seq = r.u64();
-    rq.target_site = r.u32();
-    if (r.status() != DecodeStatus::kOk) return out.status = r.status();
-    if (!r.exhausted()) return out.status = DecodeStatus::kTrailingBytes;
-    out.consumed = view.consumed;
-    out.is_stats_request = true;
-    out.stats_request = rq;
-    return out.status = DecodeStatus::kOk;
-  }
-  if (view.type == MsgType::kStatsReply) {
-    out.stats_rows.clear();
-    const std::uint64_t seq = r.u64();
-    const std::uint32_t n_boards = r.u32();
-    if (n_boards > kMaxStatsBoards) {
-      return out.status = DecodeStatus::kBadField;
-    }
-    for (std::uint32_t b = 0; b < n_boards; ++b) {
-      const std::uint32_t site = r.u32();
-      const std::uint32_t n = r.u32();
-      if (n > kMaxStatsEntries) return out.status = DecodeStatus::kBadField;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint16_t key = r.u16();
-        const std::int64_t value = r.i64();
-        if (r.status() != DecodeStatus::kOk) break;
-        out.stats_rows.push_back({site, key, value});
+  switch (view.type) {
+    case MsgType::kFetchRequest:
+      out.message = FetchRequest{ObjectId{r.u32()}, SiteId{r.u32()}, r.u64()};
+      break;
+    case MsgType::kFetchReply:
+      out.message = FetchReply{r.copy(), r.u64()};
+      break;
+    case MsgType::kWriteRequest:
+      out.message = WriteRequest{ObjectId{r.u32()}, Value{r.i64()}, r.time(),
+                                 r.timestamp(),     SiteId{r.u32()}, r.u64()};
+      break;
+    case MsgType::kWriteAck:
+      out.message = WriteAck{ObjectId{r.u32()}, r.u64(), r.u64()};
+      break;
+    case MsgType::kValidateRequest:
+      out.message =
+          ValidateRequest{ObjectId{r.u32()}, r.u64(), SiteId{r.u32()}, r.u64()};
+      break;
+    case MsgType::kValidateReply:
+      out.message =
+          ValidateReply{ObjectId{r.u32()}, r.boolean(), r.copy(), r.u64()};
+      break;
+    case MsgType::kInvalidate:
+      out.message = Invalidate{ObjectId{r.u32()}, r.u64()};
+      break;
+    case MsgType::kPushUpdate:
+      out.message = PushUpdate{r.copy()};
+      break;
+    case MsgType::kHeartbeat:
+      out.heartbeat = Heartbeat{r.u64(), r.i64(), r.boolean()};
+      break;
+    case MsgType::kTimeRequest:
+    case MsgType::kTimeReply:
+      out.time_sync = TimeSync{r.u64(), r.i64(), r.i64(),
+                               view.type == MsgType::kTimeReply};
+      break;
+    case MsgType::kStatsRequest:
+      out.stats_request = StatsRequest{r.u64(), r.u32()};
+      break;
+    case MsgType::kStatsReply:
+      out.stats_rows.clear();
+      out.stats_seq = r.u64();
+      out.stats_boards = r.u32();
+      if (out.stats_boards > kMaxStatsBoards) r.fail(DecodeStatus::kBadField);
+      for (std::uint32_t b = 0; b < out.stats_boards && r.ok(); ++b) {
+        const std::uint32_t site = r.u32();
+        const std::uint32_t n = r.u32();
+        if (n > kMaxStatsEntries) r.fail(DecodeStatus::kBadField);
+        for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+          const std::uint16_t key = r.u16();
+          const std::int64_t value = r.i64();
+          if (r.ok()) out.stats_rows.push_back({site, key, value});
+        }
       }
-      if (r.status() != DecodeStatus::kOk) break;
+      break;
+    case MsgType::kMembership: {
+      out.members.clear();
+      out.membership_epoch = r.u64();
+      out.membership_ring_epoch = r.u64();
+      const std::uint32_t n = r.u32();
+      if (n > kMaxMembers) r.fail(DecodeStatus::kBadField);
+      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+        const MemberEntry e{r.u32(), r.u64(), r.u8()};
+        if (e.status > 2) r.fail(DecodeStatus::kBadField);
+        if (r.ok()) out.members.push_back(e);
+      }
+      break;
     }
-    if (r.status() != DecodeStatus::kOk) return out.status = r.status();
-    if (!r.exhausted()) return out.status = DecodeStatus::kTrailingBytes;
-    out.consumed = view.consumed;
-    out.is_stats_reply = true;
-    out.stats_seq = seq;
-    out.stats_boards = n_boards;
-    return out.status = DecodeStatus::kOk;
-  }
-  if (view.type == MsgType::kMembership) {
-    out.members.clear();
-    const std::uint64_t epoch = r.u64();
-    const std::uint64_t ring_epoch = view.version >= 6 ? r.u64() : 0;
-    const std::uint32_t n = r.u32();
-    if (n > kMaxMembers) return out.status = DecodeStatus::kBadField;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      MemberEntry e;
-      e.site = r.u32();
-      e.incarnation = r.u64();
-      e.status = r.u8();
-      if (e.status > 2) return out.status = DecodeStatus::kBadField;
-      if (r.status() != DecodeStatus::kOk) break;
-      out.members.push_back(e);
+    case MsgType::kForward: {
+      const FrameView inner = peek_forward_inner(view);
+      if (!inner.ok()) {
+        r.fail(inner.status);
+        break;
+      }
+      const ForwardPrefix prefix = read_forward_prefix(r);
+      out.forward_hops = prefix.hops;
+      out.forward_serve_here = prefix.serve_here;
+      out.forward_ring_epoch = prefix.ring_epoch;
+      const std::span<const std::uint8_t> wrapped = r.rest();
+      out.forward_inner.assign(wrapped.begin(), wrapped.end());
+      break;
     }
-    if (r.status() != DecodeStatus::kOk) return out.status = r.status();
-    if (!r.exhausted()) return out.status = DecodeStatus::kTrailingBytes;
-    out.consumed = view.consumed;
-    out.is_membership = true;
-    out.membership_epoch = epoch;
-    out.membership_ring_epoch = ring_epoch;
-    return out.status = DecodeStatus::kOk;
-  }
-  if (view.type == MsgType::kForward) {
-    const FrameView inner = peek_forward_inner(view);
-    if (!inner.ok()) return out.status = inner.status;
-    const ForwardPrefix prefix = peek_forward_prefix(view);
-    if (view.version >= 6 &&
-        (view.body[0] & ~(kForwardServeHereBit | kForwardHopsMask)) != 0) {
-      return out.status = DecodeStatus::kBadField;
+    case MsgType::kCacherSubscribe:
+      out.cacher_subscribe =
+          CacherSubscribe{ObjectId{r.u32()}, SiteId{r.u32()}, r.u8()};
+      if (out.cacher_subscribe.mode > 1) r.fail(DecodeStatus::kBadField);
+      break;
+    case MsgType::kSliceSync: {
+      out.slice_sync =
+          SliceSyncRequest{r.u64(), r.u64(), r.u32(), r.u32(), r.i64()};
+      const std::uint32_t max = out.slice_sync.max_records;
+      if (max == 0 || max > kMaxSliceRecords) r.fail(DecodeStatus::kBadField);
+      break;
     }
-    const std::size_t skip = view.version >= 6 ? kForwardPrefixV6 : 1;
-    out.forward_inner.assign(view.body.begin() + skip, view.body.end());
-    out.consumed = view.consumed;
-    out.is_forward = true;
-    out.forward_hops = prefix.hops;
-    out.forward_serve_here = prefix.serve_here;
-    out.forward_ring_epoch = prefix.ring_epoch;
-    return out.status = DecodeStatus::kOk;
-  }
-  if (view.type == MsgType::kSliceSync) {
-    SliceSyncRequest rq;
-    rq.seq = r.u64();
-    rq.ring_epoch = r.u64();
-    rq.cursor = r.u32();
-    rq.max_records = r.u32();
-    rq.if_newer_than_us = r.i64();
-    if (rq.max_records == 0 || rq.max_records > kMaxSliceRecords) {
-      r.fail(DecodeStatus::kBadField);
+    case MsgType::kSliceSyncReply: {
+      out.slice_records.clear();
+      out.slice_seq = r.u64();
+      out.slice_ring_epoch = r.u64();
+      out.slice_status = r.u8();
+      if (out.slice_status > kSliceNotReady) r.fail(DecodeStatus::kBadField);
+      out.slice_next_cursor = r.u32();
+      const std::uint32_t n = r.u32();
+      if (n > kMaxSliceRecords) r.fail(DecodeStatus::kBadField);
+      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+        const SliceRecord rec{r.u32(), r.i64(), r.u64(),
+                              r.i64(), r.u32(), r.u64()};
+        if (r.ok()) out.slice_records.push_back(rec);
+      }
+      break;
     }
-    if (r.status() != DecodeStatus::kOk) return out.status = r.status();
-    if (!r.exhausted()) return out.status = DecodeStatus::kTrailingBytes;
-    out.consumed = view.consumed;
-    out.is_slice_sync = true;
-    out.slice_sync = rq;
-    return out.status = DecodeStatus::kOk;
-  }
-  if (view.type == MsgType::kSliceSyncReply) {
-    out.slice_records.clear();
-    const std::uint64_t seq = r.u64();
-    const std::uint64_t ring_epoch = r.u64();
-    const std::uint8_t status = r.u8();
-    const std::uint32_t next_cursor = r.u32();
-    const std::uint32_t n = r.u32();
-    if (status > kSliceNotReady) return out.status = DecodeStatus::kBadField;
-    if (n > kMaxSliceRecords) return out.status = DecodeStatus::kBadField;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      SliceRecord rec;
-      rec.object = r.u32();
-      rec.value = r.i64();
-      rec.version = r.u64();
-      rec.alpha_us = r.i64();
-      rec.writer = r.u32();
-      rec.request_id = r.u64();
-      if (r.status() != DecodeStatus::kOk) break;
-      out.slice_records.push_back(rec);
+    case MsgType::kOverloaded:
+      out.overloaded = Overloaded{r.u32(), r.u64(), r.i64()};
+      break;
+    case MsgType::kRingUpdate: {
+      out.ring_members.clear();
+      out.ring_update_epoch = r.u64();
+      const std::uint32_t n = r.u32();
+      if (n > kMaxMembers) r.fail(DecodeStatus::kBadField);
+      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+        const std::uint32_t site = r.u32();
+        if (r.ok()) out.ring_members.push_back(site);
+      }
+      break;
     }
-    if (r.status() != DecodeStatus::kOk) return out.status = r.status();
-    if (!r.exhausted()) return out.status = DecodeStatus::kTrailingBytes;
-    out.consumed = view.consumed;
-    out.is_slice_sync_reply = true;
-    out.slice_seq = seq;
-    out.slice_ring_epoch = ring_epoch;
-    out.slice_status = status;
-    out.slice_next_cursor = next_cursor;
-    return out.status = DecodeStatus::kOk;
   }
-  if (view.type == MsgType::kRingUpdate) {
-    out.ring_members.clear();
-    const std::uint64_t ring_epoch = r.u64();
-    const std::uint32_t n = r.u32();
-    if (n > kMaxMembers) return out.status = DecodeStatus::kBadField;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t site = r.u32();
-      if (r.status() != DecodeStatus::kOk) break;
-      out.ring_members.push_back(site);
-    }
-    if (r.status() != DecodeStatus::kOk) return out.status = r.status();
-    if (!r.exhausted()) return out.status = DecodeStatus::kTrailingBytes;
-    out.consumed = view.consumed;
-    out.is_ring_update = true;
-    out.ring_update_epoch = ring_epoch;
-    return out.status = DecodeStatus::kOk;
-  }
-  if (view.type == MsgType::kOverloaded) {
-    Overloaded ov;
-    ov.object = r.u32();
-    ov.request_id = r.u64();
-    ov.retry_after_us = r.i64();
-    if (r.status() != DecodeStatus::kOk) return out.status = r.status();
-    if (!r.exhausted()) return out.status = DecodeStatus::kTrailingBytes;
-    out.consumed = view.consumed;
-    out.is_overloaded = true;
-    out.overloaded = ov;
-    return out.status = DecodeStatus::kOk;
-  }
-  if (view.type == MsgType::kCacherSubscribe) {
-    CacherSubscribe cs;
-    cs.object = ObjectId{r.u32()};
-    cs.cacher = SiteId{r.u32()};
-    cs.mode = r.u8();
-    if (cs.mode > 1) return out.status = DecodeStatus::kBadField;
-    if (r.status() != DecodeStatus::kOk) return out.status = r.status();
-    if (!r.exhausted()) return out.status = DecodeStatus::kTrailingBytes;
-    out.consumed = view.consumed;
-    out.is_cacher_subscribe = true;
-    out.cacher_subscribe = cs;
-    return out.status = DecodeStatus::kOk;
-  }
-  Message m = decode_body(view.type, r);
-  if (r.status() != DecodeStatus::kOk) return out.status = r.status();
+  if (!r.ok()) return out.status = r.status();
   if (!r.exhausted()) return out.status = DecodeStatus::kTrailingBytes;
   out.consumed = view.consumed;
-  out.message = std::move(m);
   return out.status = DecodeStatus::kOk;
 }
 

@@ -1,5 +1,5 @@
-// The binary wire codec: length-prefixed, versioned framing for every
-// protocol message in src/protocol/messages.hpp.
+// The binary wire codec: length-prefixed framing for every protocol
+// message in src/protocol/messages.hpp plus the transport's own frames.
 //
 // Frame layout (all integers little-endian):
 //
@@ -10,11 +10,15 @@
 //   4       4     from site id
 //   8       4     to site id
 //   12      4     body length in bytes (<= kMaxBodyBytes)
-//   16      n     body (per-type field layout, see wire.cpp)
+//   16      n     body (per-type field layout, DESIGN.md section 8)
 //
 // The (from, to) routing header is what lets one TCP connection multiplex
 // many client sites (the load generator) and lets a server reply over
 // whichever connection the request arrived on.
+//
+// There is exactly one codec version: every binary is built from this
+// tree, so a frame with any other version byte is kBadVersion and its
+// connection is closed.
 //
 // Decoding is strict and bounds-checked: a decoder never reads past the
 // supplied buffer, never allocates more than the buffer could justify, and
@@ -34,20 +38,8 @@
 namespace timedc::wire {
 
 inline constexpr std::uint16_t kMagic = 0x5443;  // "TC"
-/// Current codec version. Version 2 added the transport-level Heartbeat
-/// frame; version 3 added the TimeRequest/TimeReply clock-synchronization
-/// frames; version 4 added the StatsRequest/StatsReply introspection
-/// frames; version 5 added the cluster frames (Membership gossip, Forward
-/// wrapping, CacherSubscribe); version 6 added the self-healing frames
-/// (SliceSync/SliceSyncReply anti-entropy, RingUpdate ownership hints,
-/// Overloaded admission replies) and EXTENDED two v5 body layouts — a v6
-/// kForward carries [flags+hops u8][ring_epoch u64] before the inner frame
-/// and a v6 kMembership carries the sender's ring epoch after the gossip
-/// epoch. Layout extensions are gated on the header version byte, so every
-/// older frame is still accepted with its original layout.
+/// The codec version; peek_frame accepts no other.
 inline constexpr std::uint8_t kVersion = 6;
-/// Oldest codec version this decoder still accepts.
-inline constexpr std::uint8_t kMinVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 16;
 /// Upper bound on a frame body. Generous: the largest legitimate message is
 /// an ObjectCopy with two kMaxClockEntries-wide timestamps (~64 KiB).
@@ -57,6 +49,8 @@ inline constexpr std::uint32_t kMaxBodyBytes = 1u << 20;
 inline constexpr std::uint32_t kMaxClockEntries = 4096;
 
 enum class MsgType : std::uint8_t {
+  // The eight protocol messages: the Message variant's alternatives, in
+  // order. Only these reach Transport handlers.
   kFetchRequest = 1,
   kFetchReply = 2,
   kWriteRequest = 3,
@@ -65,49 +59,44 @@ enum class MsgType : std::uint8_t {
   kValidateReply = 6,
   kInvalidate = 7,
   kPushUpdate = 8,
-  /// Transport-level liveness probe (codec version >= 2). Never surfaced to
-  /// the protocol layer: TcpTransport answers pings and consumes pongs
-  /// itself, so `Message` stays exactly the eight protocol types.
+  // Transport frames: TcpTransport answers or consumes them itself.
+  /// Supervision liveness ping/pong.
   kHeartbeat = 9,
-  /// Transport-level Cristian clock-sync exchange (codec version >= 3).
-  /// Like heartbeats, these never reach the protocol layer: TcpTransport
-  /// answers requests with its reference time and hands replies to the
-  /// registered TimeSyncClient.
+  /// Cristian clock-sync exchange: requests are answered with the
+  /// transport's reference time, replies go to the TimeSyncClient.
   kTimeRequest = 10,
   kTimeReply = 11,
-  /// Transport-level live introspection (codec version >= 4). A request
-  /// names one reactor site (or kAllSites); the answering transport replies
-  /// from its lock-free StatsBoard/StatsHub snapshot without involving the
-  /// protocol layer — like heartbeats, these frames never reach handlers.
+  /// Live introspection: a request names one reactor site (or kAllSites);
+  /// the answer comes from the lock-free StatsBoard/StatsHub snapshot.
   kStatsRequest = 12,
   kStatsReply = 13,
-  /// Cluster frames (codec version >= 5). kMembership carries one node's
-  /// gossip digest (epoch + member incarnations), piggybacked on the
-  /// supervision heartbeat cadence. kForward wraps one complete protocol
-  /// frame — header and body verbatim — plus a hop counter, so a server
-  /// can hand a request for a non-owned object to the owner while
-  /// preserving the original (client, request_id) routing header the
-  /// owner's WAL dedup and reply path need. kCacherSubscribe registers the
-  /// sending server as a cacher of one object at its owner (Section 5.2
-  /// push propagation). All three are transport-level: they never surface
-  /// as a protocol Message.
+  /// One node's gossip digest (epoch, ring epoch, member incarnations),
+  /// sent at heartbeat cadence.
   kMembership = 14,
+  /// One complete protocol frame — header and body verbatim — plus hop
+  /// count, serve-here flag and the sender's ring epoch, so a server can
+  /// hand a request for a non-owned object to the owner while preserving
+  /// the (client, request_id) routing header its WAL dedup and reply path
+  /// need.
   kForward = 15,
+  /// Registers the sending server as a cacher of one object at its owner
+  /// (Section 5.2 push propagation).
   kCacherSubscribe = 16,
-  /// Self-healing frames (codec version >= 6), all transport-level.
-  /// kSliceSync asks a donor to stream the requester's hash-ring slice
-  /// (bounded, cursor-resumable, if-modified-since batched); the donor
-  /// answers with kSliceSyncReply records a warming owner installs before
-  /// flipping WARMING -> SERVING. kRingUpdate carries (ring_epoch, serving
-  /// member list) so a peer or owner-aware client that forwarded under a
-  /// stale ring can rebuild the deterministic ring locally. kOverloaded is
-  /// the admission gate's explicit shed reply: the named request was not
-  /// served; retry after the carried hint.
+  /// Anti-entropy: a warming owner asks a donor for its hash-ring slice
+  /// (bounded, cursor-resumable, if-modified-since batched) and installs
+  /// the reply records before flipping WARMING -> SERVING.
   kSliceSync = 17,
   kSliceSyncReply = 18,
+  /// The admission gate's shed reply: the named request was not served;
+  /// retry after the carried hint.
   kOverloaded = 19,
+  /// (ring epoch, serving member list), so a peer or owner-aware client
+  /// that forwarded under a stale ring can rebuild it locally.
   kRingUpdate = 20,
 };
+
+/// The highest MsgType; peek_frame rejects anything above it.
+inline constexpr MsgType kLastMsgType = MsgType::kRingUpdate;
 
 enum class DecodeStatus : std::uint8_t {
   kOk = 0,
@@ -213,7 +202,7 @@ struct CacherSubscribe {
 /// never force a large allocation; donors paginate with next_cursor.
 inline constexpr std::uint32_t kMaxSliceRecords = 256;
 
-/// Anti-entropy pull carried in a kSliceSync frame (codec version >= 6).
+/// Anti-entropy pull carried in a kSliceSync frame.
 /// The requester (frame `from`) asks the donor (frame `to`) for the
 /// objects the DONOR's current ring assigns to the requester. `cursor` is
 /// the resume point (0 = start; otherwise the last object id already
@@ -253,7 +242,7 @@ inline constexpr std::uint8_t kSliceMore = 0;      // batch full; resume at next
 inline constexpr std::uint8_t kSliceDone = 1;      // slice exhausted
 inline constexpr std::uint8_t kSliceNotReady = 2;  // donor ring older than requester's
 
-/// Admission-shed reply carried in a kOverloaded frame (codec version >= 6):
+/// Admission-shed reply carried in a kOverloaded frame:
 /// the request identified by (frame `to`, request_id) was not served; the
 /// client should retry no sooner than retry_after_us from receipt.
 struct Overloaded {
@@ -306,8 +295,7 @@ void encode_stats_reply_frame(SiteId from, SiteId to, std::uint64_t seq,
                               std::vector<std::uint8_t>& out);
 
 /// Append one encoded kMembership frame onto `out`. Member count must
-/// respect kMaxMembers. `ring_epoch` is the sender's current ring epoch
-/// (v6 layout extension; a v5 receiver-side decode reports it as 0).
+/// respect kMaxMembers. `ring_epoch` is the sender's current ring epoch.
 void encode_membership_frame(SiteId from, SiteId to, std::uint64_t epoch,
                              std::uint64_t ring_epoch,
                              std::span<const MemberEntry> members,
@@ -370,63 +358,55 @@ void encode_cacher_subscribe_frame(SiteId from, SiteId to,
 /// The exact number of bytes encode_frame appends for `m`.
 std::size_t encoded_frame_size(const Message& m);
 
+/// One decoded frame. `type` says which payload fields below the decode
+/// filled; the others keep whatever an earlier decode left in them (a
+/// transport reuses one DecodedFrame as scratch, so the vectors keep their
+/// capacity and steady-state decodes do not allocate).
 struct DecodedFrame {
   DecodeStatus status = DecodeStatus::kNeedMore;
   std::size_t consumed = 0;  // frame bytes to drop from the buffer when kOk
   SiteId from;
   SiteId to;
+  MsgType type = MsgType::kFetchRequest;
+  /// The eight protocol types.
   Message message;
-  /// Set for kHeartbeat frames; `message` is then a default FetchRequest
-  /// and must not be interpreted.
-  bool is_heartbeat = false;
+  /// kHeartbeat.
   Heartbeat heartbeat;
-  /// Set for kTimeRequest/kTimeReply frames; `message` is likewise inert.
-  bool is_time_sync = false;
+  /// kTimeRequest / kTimeReply.
   TimeSync time_sync;
-  /// Set for kStatsRequest frames.
-  bool is_stats_request = false;
+  /// kStatsRequest.
   StatsRequest stats_request;
-  /// Set for kStatsReply frames; rows are flattened per board into the
-  /// scratch-reused stats_rows (site repeats across a board's rows).
-  bool is_stats_reply = false;
+  /// kStatsReply: rows are flattened per board (site repeats across a
+  /// board's rows).
   std::uint64_t stats_seq = 0;
   std::uint32_t stats_boards = 0;
   std::vector<StatsRow> stats_rows;
-  /// Set for kMembership frames; members reuses its storage across decodes.
-  /// membership_ring_epoch is 0 when the frame used the v5 layout.
-  bool is_membership = false;
+  /// kMembership.
   std::uint64_t membership_epoch = 0;
   std::uint64_t membership_ring_epoch = 0;
   std::vector<MemberEntry> members;
-  /// Set for kForward frames: forward_inner holds the wrapped frame's bytes
-  /// (header + body, themselves a valid protocol frame), scratch-reused.
-  /// The hot path never takes this copy — it peeks the inner frame straight
-  /// out of the view body — but owning decodes (tests, offline tools) do.
-  /// forward_serve_here / forward_ring_epoch are false/0 for v5 layouts.
-  bool is_forward = false;
+  /// kForward: forward_inner holds the wrapped frame's bytes (header +
+  /// body, themselves a valid protocol frame). The hot path never takes
+  /// this copy — it peeks the inner frame straight out of the view body —
+  /// but owning decodes (tests, offline tools) do.
   std::uint8_t forward_hops = 0;
   bool forward_serve_here = false;
   std::uint64_t forward_ring_epoch = 0;
   std::vector<std::uint8_t> forward_inner;
-  /// Set for kCacherSubscribe frames.
-  bool is_cacher_subscribe = false;
+  /// kCacherSubscribe.
   CacherSubscribe cacher_subscribe;
-  /// Set for kSliceSync frames.
-  bool is_slice_sync = false;
+  /// kSliceSync.
   SliceSyncRequest slice_sync;
-  /// Set for kSliceSyncReply frames; slice_records reuses its storage.
-  bool is_slice_sync_reply = false;
+  /// kSliceSyncReply.
   std::uint64_t slice_seq = 0;
   std::uint64_t slice_ring_epoch = 0;
   std::uint8_t slice_status = 0;
   std::uint32_t slice_next_cursor = 0;
   std::vector<SliceRecord> slice_records;
-  /// Set for kRingUpdate frames; ring_members reuses its storage.
-  bool is_ring_update = false;
+  /// kRingUpdate.
   std::uint64_t ring_update_epoch = 0;
   std::vector<std::uint32_t> ring_members;
-  /// Set for kOverloaded frames.
-  bool is_overloaded = false;
+  /// kOverloaded.
   Overloaded overloaded;
 
   bool ok() const { return status == DecodeStatus::kOk; }
@@ -453,9 +433,6 @@ struct FrameView {
   SiteId from;
   SiteId to;
   MsgType type = MsgType::kFetchRequest;  // meaningful when kOk
-  /// The frame's header version byte: v6 extended the kForward/kMembership
-  /// body layouts, so their decode is gated on the version the peer wrote.
-  std::uint8_t version = 0;
   std::span<const std::uint8_t> body;
 
   bool ok() const { return status == DecodeStatus::kOk; }
@@ -467,9 +444,10 @@ struct FrameView {
 };
 
 /// Validate the header of the frame at the front of `buf` without decoding
-/// its body. Status semantics match decode_frame for every header-stage
-/// outcome (kNeedMore/kBadMagic/kBadVersion/kBadType/kOversizedBody);
-/// body-stage errors are only found by decode_frame_view.
+/// its body: magic, version (exactly kVersion), type, body length. Status
+/// semantics match decode_frame for every header-stage outcome
+/// (kNeedMore/kBadMagic/kBadVersion/kBadType/kOversizedBody); body-stage
+/// errors are only found by decode_frame_view.
 FrameView peek_frame(std::span<const std::uint8_t> buf);
 
 /// The complete on-wire bytes (header + body) of a kOk view. Valid exactly
@@ -486,10 +464,10 @@ inline std::span<const std::uint8_t> frame_bytes(const FrameView& view) {
 /// nests and never wraps transport frames).
 FrameView peek_forward_inner(const FrameView& outer);
 
-/// The routing metadata in front of a kForward view's wrapped frame,
-/// decoded per the view's version (a v5 frame reports serve_here = false
-/// and ring_epoch = 0). Call only on a view peek_forward_inner accepted;
-/// a too-short body yields all zeros.
+/// The routing metadata in front of a kForward view's wrapped frame:
+/// [flags u8: bit 7 serve-here, bits 0-3 hop count][ring epoch u64]. Call
+/// only on a view peek_forward_inner accepted; a too-short body yields all
+/// zeros.
 struct ForwardPrefix {
   std::uint8_t hops = 0;
   bool serve_here = false;

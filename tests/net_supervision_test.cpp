@@ -2,8 +2,10 @@
 // close (the killed-peer regression), reconnect with queued-frame flush,
 // heartbeat liveness marking a black-holing peer DEAD, per-status decode
 // error counters through the stats bridge, transmit-time client failover to
-// a live replica, the bounded per-peer frame queue's drop policy, and
-// cluster forwarding with a misrouting client (no reply relay loops).
+// a live replica, the bounded per-peer frame queue's drop policy, cluster
+// forwarding with a misrouting client (no reply relay loops), each cluster
+// and self-healing frame reaching its handler between two members, and the
+// dial-on-first-touch contract of the senders that never queue.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -14,7 +16,9 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "clocks/physical_clock.hpp"
@@ -533,6 +537,366 @@ TEST(NetCluster, TwoMembersMisroutedOpsCompleteWithoutRelayLoops) {
 
 TEST(NetCluster, ThreeMembersMisroutedOpsCompleteWithoutRelayLoops) {
   run_misrouting_cluster(3);
+}
+
+/// Two cluster members, a (site 0) and b (site 1), each on its own loop
+/// with a supervised route to the other. Install handlers, then start():
+/// it primes both routes and waits until they are healthy.
+class MemberPair {
+ public:
+  MemberPair() {
+    net::SupervisionConfig sup;
+    sup.enabled = true;
+    sup.heartbeat_interval = SimTime::millis(50);
+    a_.transport().enable_cluster(SiteId{0});
+    b_.transport().enable_cluster(SiteId{1});
+    a_.transport().add_route(SiteId{1}, "127.0.0.1", b_.port());
+    b_.transport().add_route(SiteId{0}, "127.0.0.1", a_.port());
+    a_.transport().set_supervision(sup);
+    b_.transport().set_supervision(sup);
+  }
+
+  void start() {
+    a_.start();
+    b_.start();
+    prime(a_, SiteId{1});
+    prime(b_, SiteId{0});
+  }
+
+  NetNode& a() { return a_; }
+  NetNode& b() { return b_; }
+
+ private:
+  static void prime(NetNode& node, SiteId peer) {
+    on_loop(node.loop(), [&] {
+      node.transport().prime_supervised(peer);
+      return true;
+    });
+    ASSERT_TRUE(poll_loop(node.loop(), [&] {
+      return node.transport().connection_state(peer) ==
+             net::ConnectionState::kHealthy;
+    }));
+  }
+
+  NetNode a_;
+  NetNode b_;
+};
+
+/// What one protocol handler saw: sender, message, and whether the
+/// transport pinned the dispatch to local state.
+struct Delivery {
+  SiteId from;
+  Message message;
+  bool serve_locally = false;
+};
+
+// In each test below, what the handlers record is declared before the
+// MemberPair, so the loops stop before that state is destroyed.
+
+TEST(NetCluster, SliceSyncIsAnsweredByTheDonorsServer) {
+  const wire::SliceSyncRequest sent{9, 3, 2, 16, 500};
+  const std::vector<wire::SliceRecord> records = {{4, -7, 3, 1000, 100, 11},
+                                                  {5, 8, 1, 2000, 101, 12}};
+  std::vector<std::pair<SiteId, wire::SliceSyncRequest>> served;
+  struct Reply {
+    SiteId donor;
+    std::uint64_t seq, ring_epoch;
+    std::uint8_t status;
+    std::uint32_t next_cursor;
+    std::vector<wire::SliceRecord> records;
+  };
+  std::vector<Reply> replies;
+  MemberPair pair;
+  pair.b().transport().set_ring(5, std::vector<std::uint32_t>{0, 1});
+  pair.b().transport().set_slice_sync_server(
+      [&](SiteId requester, const wire::SliceSyncRequest& rq,
+          std::vector<wire::SliceRecord>& out, std::uint32_t& next_cursor) {
+        served.emplace_back(requester, rq);
+        out = records;
+        next_cursor = 42;
+        return wire::kSliceMore;
+      });
+  pair.a().transport().set_slice_sync_reply_handler(
+      [&](SiteId donor, std::uint64_t seq, std::uint64_t ring_epoch,
+          std::uint8_t status, std::uint32_t next_cursor,
+          std::span<const wire::SliceRecord> recs) {
+        replies.push_back({donor, seq, ring_epoch, status, next_cursor,
+                           {recs.begin(), recs.end()}});
+      });
+  pair.start();
+
+  EXPECT_TRUE(on_loop(pair.a().loop(), [&] {
+    return pair.a().transport().send_slice_sync(SiteId{0}, SiteId{1}, sent);
+  }));
+  ASSERT_TRUE(poll_loop(pair.a().loop(), [&] { return !replies.empty(); }));
+  on_loop(pair.b().loop(), [&] {
+    EXPECT_EQ(served.size(), 1u);
+    EXPECT_EQ(served.at(0).first, SiteId{0});
+    EXPECT_EQ(served.at(0).second, sent);
+    EXPECT_EQ(pair.b().transport().stats().slice_sync_served, 1u);
+    return true;
+  });
+  on_loop(pair.a().loop(), [&] {
+    EXPECT_EQ(replies.size(), 1u);
+    const Reply& r = replies.at(0);
+    EXPECT_EQ(r.donor, SiteId{1});
+    EXPECT_EQ(r.seq, sent.seq);
+    EXPECT_EQ(r.ring_epoch, 5u);
+    EXPECT_EQ(r.status, wire::kSliceMore);
+    EXPECT_EQ(r.next_cursor, 42u);
+    EXPECT_EQ(r.records, records);
+    EXPECT_EQ(pair.a().transport().stats().slice_sync_sent, 1u);
+    EXPECT_EQ(pair.a().transport().stats().slice_sync_replies, 1u);
+    return true;
+  });
+}
+
+TEST(NetCluster, CacherSubscribeReachesTheOwnersHandler) {
+  const wire::CacherSubscribe sent{ObjectId{6}, SiteId{0}, 1};
+  std::vector<std::pair<SiteId, wire::CacherSubscribe>> got;
+  MemberPair pair;
+  pair.b().transport().set_cacher_subscribe_handler(
+      [&](SiteId to, const wire::CacherSubscribe& cs) {
+        got.emplace_back(to, cs);
+      });
+  pair.start();
+
+  EXPECT_TRUE(on_loop(pair.a().loop(), [&] {
+    return pair.a().transport().send_cacher_subscribe(SiteId{0}, SiteId{1},
+                                                      sent);
+  }));
+  ASSERT_TRUE(poll_loop(pair.b().loop(), [&] { return !got.empty(); }));
+  on_loop(pair.b().loop(), [&] {
+    EXPECT_EQ(got.size(), 1u);
+    EXPECT_EQ(got.at(0).first, SiteId{1});
+    EXPECT_EQ(got.at(0).second, sent);
+    EXPECT_EQ(pair.b().transport().stats().subscribes_received, 1u);
+    return true;
+  });
+}
+
+TEST(NetCluster, StaleEpochForwardIsServedAndBouncedAsRingUpdate) {
+  const std::vector<std::uint32_t> ring = {0, 1};
+  const Message request{FetchRequest{ObjectId{4}, SiteId{100}, 77}};
+  std::vector<Delivery> served;
+  struct Hint {
+    SiteId sender;
+    std::uint64_t epoch;
+    std::vector<std::uint32_t> members;
+  };
+  std::vector<Hint> hints;
+  MemberPair pair;
+  pair.b().transport().set_ring(5, ring);
+  pair.b().transport().register_site(
+      SiteId{1}, [&](SiteId from, const Message& m) {
+        served.push_back(
+            {from, m, pair.b().transport().dispatch_serve_locally()});
+      });
+  pair.a().transport().register_site(SiteId{0},
+                                     [](SiteId, const Message&) {});
+  pair.a().transport().set_ring_update_handler(
+      [&](SiteId sender, std::uint64_t epoch,
+          std::span<const std::uint32_t> members) {
+        hints.push_back({sender, epoch, {members.begin(), members.end()}});
+      });
+  pair.start();
+
+  // Server a forwards a client's request (reply_to != from) under ring
+  // epoch 0; b serves it and tells a about its epoch-5 ring.
+  on_loop(pair.a().loop(), [&] {
+    pair.a().transport().send_message(SiteId{0}, SiteId{1}, request, 64);
+    return true;
+  });
+  ASSERT_TRUE(poll_loop(pair.a().loop(), [&] { return !hints.empty(); }));
+  ASSERT_TRUE(poll_loop(pair.b().loop(), [&] { return !served.empty(); }));
+  on_loop(pair.a().loop(), [&] {
+    EXPECT_EQ(hints.size(), 1u);
+    EXPECT_EQ(hints.at(0).sender, SiteId{1});
+    EXPECT_EQ(hints.at(0).epoch, 5u);
+    EXPECT_EQ(hints.at(0).members, ring);
+    EXPECT_EQ(pair.a().transport().stats().forwards_out, 1u);
+    EXPECT_EQ(pair.a().transport().stats().ring_updates_received, 1u);
+    return true;
+  });
+  on_loop(pair.b().loop(), [&] {
+    EXPECT_EQ(served.size(), 1u);
+    EXPECT_EQ(served.at(0).from, SiteId{100});
+    EXPECT_EQ(served.at(0).message, request);
+    EXPECT_FALSE(served.at(0).serve_locally);
+    EXPECT_EQ(pair.b().transport().stats().forwards_in, 1u);
+    EXPECT_EQ(pair.b().transport().stats().stale_forwards, 1u);
+    EXPECT_EQ(pair.b().transport().stats().ring_updates_sent, 1u);
+    return true;
+  });
+}
+
+TEST(NetCluster, ServeHereForwardIsDispatchedAsServeLocally) {
+  const Message request{FetchRequest{ObjectId{4}, SiteId{100}, 78}};
+  std::vector<Delivery> served;
+  MemberPair pair;
+  // b's ring is ahead of a's, yet a serve-here forward is never bounced.
+  pair.b().transport().set_ring(5, std::vector<std::uint32_t>{0, 1});
+  pair.b().transport().register_site(
+      SiteId{1}, [&](SiteId from, const Message& m) {
+        served.push_back(
+            {from, m, pair.b().transport().dispatch_serve_locally()});
+      });
+  pair.start();
+
+  EXPECT_TRUE(on_loop(pair.a().loop(), [&] {
+    return pair.a().transport().forward_serve_here(SiteId{100}, SiteId{1},
+                                                   request);
+  }));
+  ASSERT_TRUE(poll_loop(pair.b().loop(), [&] { return !served.empty(); }));
+  on_loop(pair.b().loop(), [&] {
+    EXPECT_EQ(served.size(), 1u);
+    EXPECT_EQ(served.at(0).from, SiteId{100});
+    EXPECT_EQ(served.at(0).message, request);
+    EXPECT_TRUE(served.at(0).serve_locally);
+    // The flag lives exactly as long as the inner dispatch.
+    EXPECT_FALSE(pair.b().transport().dispatch_serve_locally());
+    EXPECT_EQ(pair.b().transport().stats().stale_forwards, 0u);
+    EXPECT_EQ(pair.b().transport().stats().ring_updates_sent, 0u);
+    return true;
+  });
+}
+
+TEST(NetCluster, OverloadedReplyReachesTheClientsHandler) {
+  const wire::Overloaded shed{4, 79, 2500};
+  std::vector<std::pair<SiteId, wire::Overloaded>> got;
+  MemberPair pair;
+  pair.b().transport().register_site(
+      SiteId{1}, [&](SiteId from, const Message&) {
+        pair.b().transport().send_overloaded(SiteId{1}, from, shed);
+      });
+  pair.a().transport().register_site(SiteId{100},
+                                     [](SiteId, const Message&) {});
+  pair.a().transport().set_overloaded_handler(
+      [&](SiteId to, const wire::Overloaded& ov) { got.emplace_back(to, ov); });
+  pair.start();
+
+  on_loop(pair.a().loop(), [&] {
+    pair.a().transport().send_message(
+        SiteId{100}, SiteId{1},
+        Message{FetchRequest{ObjectId{4}, SiteId{100}, 79}}, 64);
+    return true;
+  });
+  ASSERT_TRUE(poll_loop(pair.a().loop(), [&] { return !got.empty(); }));
+  on_loop(pair.a().loop(), [&] {
+    EXPECT_EQ(got.size(), 1u);
+    EXPECT_EQ(got.at(0).first, SiteId{100});
+    EXPECT_EQ(got.at(0).second, shed);
+    EXPECT_EQ(pair.a().transport().stats().overloaded_received, 1u);
+    return true;
+  });
+  on_loop(pair.b().loop(), [&] {
+    EXPECT_EQ(pair.b().transport().stats().overloaded_sent, 1u);
+    return true;
+  });
+}
+
+TEST(NetSupervision, NoQueueSendersDialUntouchedRoutesAndSendOnlyWhenHealthy) {
+  NetNode server;
+  for (std::uint32_t site = 1; site <= 5; ++site) {
+    server.transport().register_site(SiteId{site},
+                                     [](SiteId, const Message&) {});
+  }
+  server.start();
+  std::uint16_t dead_port = 0;
+  {
+    net::EventLoop tmp_loop;
+    net::TcpTransport tmp(tmp_loop);
+    dead_port = tmp.listen(0);
+  }
+
+  NetNode client;
+  net::TcpTransport& tx = client.transport();
+  tx.enable_cluster(SiteId{0});
+  // Sites 1-5 are one fresh route per sender; site 9 never answers.
+  for (std::uint32_t site = 1; site <= 5; ++site) {
+    tx.add_route(SiteId{site}, "127.0.0.1", server.port());
+  }
+  tx.add_route(SiteId{9}, "127.0.0.1", dead_port);
+  net::SupervisionConfig sup;
+  sup.enabled = true;
+  sup.backoff_base = SimTime::millis(10);
+  sup.backoff_cap = SimTime::millis(50);
+  sup.dead_after_failures = 1000;
+  sup.heartbeat_interval = SimTime::millis(50);
+  tx.set_supervision(sup);
+  client.start();
+
+  const std::vector<std::pair<const char*, std::function<bool(SiteId)>>>
+      senders = {
+          {"send_time_sync",
+           [&](SiteId to) {
+             return tx.send_time_sync(SiteId{0}, to,
+                                      wire::TimeSync{1, 2, 0, false});
+           }},
+          {"send_stats_request",
+           [&](SiteId to) {
+             return tx.send_stats_request(SiteId{0}, to,
+                                          wire::StatsRequest{1, wire::kAllSites});
+           }},
+          {"send_slice_sync",
+           [&](SiteId to) {
+             return tx.send_slice_sync(SiteId{0}, to, wire::SliceSyncRequest{});
+           }},
+          {"send_cacher_subscribe",
+           [&](SiteId to) {
+             return tx.send_cacher_subscribe(
+                 SiteId{0}, to, wire::CacherSubscribe{ObjectId{1}, SiteId{0}, 0});
+           }},
+          {"forward_serve_here",
+           [&](SiteId to) {
+             return tx.forward_serve_here(
+                 SiteId{100}, to,
+                 Message{FetchRequest{ObjectId{1}, SiteId{100}, 1}});
+           }},
+      };
+
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    const auto& [name, send] = senders[i];
+    const SiteId route{static_cast<std::uint32_t>(i + 1)};
+    struct FirstTouch {
+      bool first, second;
+      std::uint64_t dialed_before, dialed_after;
+      net::ConnectionState state;
+    };
+    const FirstTouch t = on_loop(client.loop(), [&] {
+      FirstTouch r{};
+      r.dialed_before = tx.stats().connections_dialed;
+      r.first = send(route);
+      r.dialed_after = tx.stats().connections_dialed;
+      r.state = tx.connection_state(route);
+      r.second = send(route);
+      return r;
+    });
+    EXPECT_FALSE(t.first) << name;
+    EXPECT_EQ(t.dialed_after, t.dialed_before + 1) << name;
+    EXPECT_EQ(t.second, t.state == net::ConnectionState::kHealthy) << name;
+    ASSERT_TRUE(poll_loop(client.loop(), [&] {
+      return tx.connection_state(route) == net::ConnectionState::kHealthy;
+    })) << name;
+    EXPECT_TRUE(on_loop(client.loop(), [&] { return send(route); })) << name;
+  }
+
+  // The refused route never turns healthy, so no sender ever gets through.
+  const SiteId dead{9};
+  EXPECT_FALSE(on_loop(client.loop(), [&] { return senders[0].second(dead); }));
+  ASSERT_TRUE(poll_loop(client.loop(), [&] {
+    return tx.connection_state(dead) == net::ConnectionState::kBackoff;
+  }));
+  for (const auto& [name, send] : senders) {
+    const auto [state, sent] = on_loop(client.loop(), [&] {
+      const net::ConnectionState s = tx.connection_state(dead);
+      return std::pair{s, send(dead)};
+    });
+    EXPECT_NE(state, net::ConnectionState::kHealthy) << name;
+    EXPECT_FALSE(sent) << name;
+  }
+  client.stop();
+  server.stop();
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // timedc-top: live wire-level introspection of a running timedc-server.
 //
 // Connects one plain blocking TCP socket to any port of a serving process
-// and polls it with kStatsRequest frames (codec version 4). The answering
-// reactor replies from its lock-free StatsHub snapshot WITHOUT involving
-// the protocol layer or any other reactor's thread, so polling a loaded —
-// or even a wedged — server never perturbs the serving path: the stall
-// watchdog gauge (stats.last_tick_age_us) is precisely the value that
-// keeps growing when a reactor stops ticking.
+// and polls it with kStatsRequest frames. The answering reactor replies
+// from its lock-free StatsHub snapshot WITHOUT involving the protocol
+// layer or any other reactor's thread, so polling a loaded — or even a
+// wedged — server never perturbs the serving path: the stall watchdog
+// gauge (stats.last_tick_age_us) is precisely the value that keeps growing
+// when a reactor stops ticking.
 //
 // Modes:
 //   (default)      full-screen refresh every --interval-ms: one row per
@@ -156,7 +156,8 @@ bool poll_stats(int fd, std::uint64_t seq, std::uint32_t target,
       if (!frame.ok()) return false;  // corrupt stream; reconnect upstream
       rxbuf.erase(rxbuf.begin(),
                   rxbuf.begin() + static_cast<std::ptrdiff_t>(frame.consumed));
-      if (frame.is_stats_reply && frame.stats_seq == seq) {
+      if (frame.type == wire::MsgType::kStatsReply &&
+          frame.stats_seq == seq) {
         rows = std::move(frame.stats_rows);
         return true;
       }
