@@ -36,6 +36,7 @@ start_server_a() {
 }
 
 : >"$OUT/server_a_out.txt"
+: >"$OUT/server_a_err.txt"
 start_server_a
 "$BUILD"/tools/timedc-server --port $B_PORT --shards 1 --site-base 1 \
   --cluster-size 2 --peer 0:127.0.0.1:$A_PORT \
@@ -85,8 +86,9 @@ timeout 60 "$BUILD"/tools/timedc-load --ports $CA_PORT,$CB_PORT \
 LOAD_PID=$!
 PIDS+=("$LOAD_PID")
 
-# Mid-run crash: SIGKILL replica A (no drain, no flush beyond the WAL's
-# per-record fflush), then restart it from its write log a second later.
+# Mid-run crash: SIGKILL replica A (no drain; its WAL group commit, which
+# runs before any reply leaves, is all the durability it gets), then
+# restart it from its write log a second later.
 sleep 3
 kill -KILL "$A_PID"
 wait "$A_PID" 2>/dev/null || true
@@ -97,6 +99,14 @@ LOAD_RC=0
 wait "$LOAD_PID" || LOAD_RC=$?
 cat "$OUT/load_out.txt"
 [ "$LOAD_RC" -eq 0 ] || { echo "FAIL: timedc-load exited $LOAD_RC"; exit 1; }
+
+# Replay must actually have run: A acked writes before the kill, so its
+# restart has to find their records (the first start, on an empty log,
+# prints no "restored" line).
+RESTORED=$(sed -n 's/^timedc-server: restored \([0-9]*\) WAL records$/\1/p' \
+  "$OUT/server_a_err.txt" | tail -n 1)
+[ "${RESTORED:-0}" -gt 0 ] || { echo "FAIL: restarted replica A replayed no WAL records"; exit 1; }
+echo "replica A restart replayed $RESTORED WAL records"
 
 kill -TERM "$A_PID" "$B_PID" 2>/dev/null || true
 wait "$A_PID" 2>/dev/null || true

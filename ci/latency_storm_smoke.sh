@@ -58,9 +58,11 @@ start_proxy() { # $1 local port, $2 tag
     >"$OUT/chaos_$2_out.txt" 2>"$OUT/chaos_$2_err.txt" &
   PROXY_PID=$!
   PIDS+=("$PROXY_PID")
-  for _ in $(seq 1 50); do
+  # Poll finely (5 ms steps, 5 s budget): the storm ramp starts with the
+  # proxy, so every coarse step is time the next run loses to it.
+  for _ in $(seq 1 1000); do
     grep -q PROXYING "$OUT/chaos_$2_out.txt" 2>/dev/null && break
-    sleep 0.1
+    sleep 0.005
   done
   grep -q PROXYING "$OUT/chaos_$2_out.txt" || { echo "FAIL: proxy $2 never proxied"; exit 1; }
 }

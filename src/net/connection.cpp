@@ -78,6 +78,7 @@ int Connection::release(std::vector<std::uint8_t>& leftover) {
   on_frame_ = nullptr;
   on_connected_ = nullptr;
   flush_scheduler_ = nullptr;
+  send_barrier_ = nullptr;
   rbuf_.clear();
   rlen_ = 0;
   rconsumed_ = 0;
@@ -137,6 +138,9 @@ void Connection::handle_writable() {
 
 void Connection::flush() {
   if (closed() || connecting_) return;
+  // Once per flush is enough: nothing runs between the barrier and the
+  // sendmsg calls below that could queue new bytes or log new writes.
+  if (send_barrier_ != nullptr && !out_.empty()) (*send_barrier_)();
   while (!out_.empty()) {
     struct iovec iov[SendQueue::kMaxIov];
     const std::size_t iovcnt = out_.gather(iov);

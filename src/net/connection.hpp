@@ -8,10 +8,13 @@
 // encoded frames to the send queue; by default every send flushes
 // immediately, but an owner that installs a flush scheduler coalesces all
 // frames queued during one loop tick into a single writev() (see
-// TcpTransport's tick-end hook). Backpressure is per connection: when the
-// unsent output exceeds the high watermark the connection stops reading
-// (no new requests are accepted from a peer we cannot answer) until the
-// queue drains below the low watermark.
+// TcpTransport's tick-end hook). An owner-installed send barrier runs
+// before every flush that moves bytes, whichever path triggers it (tick
+// end, the bypass flush, EPOLLOUT); timedc-server commits its write-ahead
+// log there. Backpressure is per connection: when the unsent output
+// exceeds the high watermark the connection stops reading (no new requests
+// are accepted from a peer we cannot answer) until the queue drains below
+// the low watermark.
 //
 // All methods are loop-thread only. A Connection never deletes itself; the
 // owner (TcpTransport) decides its lifetime from the close callback.
@@ -53,6 +56,10 @@ class Connection {
   /// period) when this connection has queued bytes and wants a flush at
   /// the end of the current loop tick.
   using FlushScheduler = std::function<void(Connection&)>;
+  /// Runs before any queued byte leaves the process: once per flush that
+  /// has bytes to send, ahead of its first sendmsg. It must not call back
+  /// into the connection, and it should allocate nothing.
+  using SendBarrier = std::function<void()>;
 
   static constexpr std::size_t kHighWatermark = 4u << 20;
   static constexpr std::size_t kLowWatermark = 512u << 10;
@@ -88,6 +95,12 @@ class Connection {
   /// Flush everything queued (the owner's tick-end path). Re-arms the
   /// scheduler for the next tick.
   void flush_batched();
+
+  /// Gate every flush behind `barrier` (null = none). The barrier is not
+  /// copied: it must outlive the connection or be reset first.
+  void set_send_barrier(const SendBarrier* barrier) {
+    send_barrier_ = barrier;
+  }
 
   /// Queue one frame built by `encode(args..., buf)`, where `encode` is a
   /// wire::encode_*frame function; flushes as far as the socket allows
@@ -180,6 +193,7 @@ class Connection {
   CloseHandler on_close_;
   ConnectedHandler on_connected_;
   FlushScheduler flush_scheduler_;
+  const SendBarrier* send_barrier_ = nullptr;
   ConnectionStats stats_;
   wire::DecodeStatus decode_failure_ = wire::DecodeStatus::kOk;
 };

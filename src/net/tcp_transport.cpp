@@ -130,7 +130,15 @@ Connection* TcpTransport::adopt(std::shared_ptr<Connection> conn,
     ensure_tick_hook();
     dirty_conns_.push_back(&c);
   });
+  if (send_barrier_) raw->set_send_barrier(&send_barrier_);
   return raw;
+}
+
+void TcpTransport::set_send_barrier(Connection::SendBarrier barrier) {
+  send_barrier_ = std::move(barrier);
+  const Connection::SendBarrier* hook =
+      send_barrier_ ? &send_barrier_ : nullptr;
+  for (const auto& [raw, conn] : conns_) raw->set_send_barrier(hook);
 }
 
 void TcpTransport::adopt_steered(int fd, std::vector<std::uint8_t> leftover) {

@@ -248,6 +248,14 @@ class TcpTransport final : public Transport {
   void set_flight_recorder(FlightRecorder* recorder);
   FlightRecorder* flight_recorder() const { return flight_; }
 
+  /// Run `barrier` before any frame leaves any connection of this
+  /// transport (Connection::SendBarrier; null = none): installed on every
+  /// connection it adopts, so tick-end, bypass and EPOLLOUT flushes all
+  /// pass it. timedc-server commits its write-ahead log here, so no reply
+  /// reveals a write whose record is not yet in the kernel. Loop-thread
+  /// only, or before the loop runs.
+  void set_send_barrier(Connection::SendBarrier barrier);
+
   /// A loop iteration whose callbacks run longer than this counts as a
   /// slow tick (watchdog counter + flight-recorder event).
   void set_slow_tick_threshold(SimTime t) {
@@ -604,6 +612,8 @@ class TcpTransport final : public Transport {
   /// Connections with queued output awaiting the tick-end gather flush.
   std::vector<Connection*> dirty_conns_;
   std::vector<Connection*> flushing_;  // reused swap target
+  /// Every adopted connection points here while it is set.
+  Connection::SendBarrier send_barrier_;
   EventLoop::HookId tick_hook_id_ = 0;
   bool tick_hook_registered_ = false;
 

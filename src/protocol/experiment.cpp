@@ -128,11 +128,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     if (obs != nullptr) injector->emit_partition_markers(*obs);
   }
 
+  // The staleness and visibility oracles below read every server's write
+  // history.
+  ServerConfig server_config{config.lease};
+  server_config.record_history = true;
   std::vector<std::unique_ptr<ObjectServer>> servers;
   for (SiteId site : cluster) {
     servers.push_back(std::make_unique<ObjectServer>(
         sim, net, site, num_clients, config.push, config.sizes, cluster,
-        ServerConfig{config.lease}));
+        server_config));
     servers.back()->set_tracer(obs);
     servers.back()->attach();
     if (injector) {

@@ -117,7 +117,7 @@ void ObjectServer::restore_write(const WriteRequest& req,
                                                         req.write_ts);
     }
   }
-  history_[req.object].push_back(AppliedWrite{req.value, net_.now(), accepted});
+  record_arrival(req.object, AppliedWrite{req.value, net_.now(), accepted});
   // Rebuild the dedup slot with the recorded ack, so a client whose ack was
   // lost in the crash gets the same answer when it retransmits.
   if (req.request_id != 0) {
@@ -149,6 +149,10 @@ void ObjectServer::begin_drain() {
 
 ObjectServer::Stored& ObjectServer::stored(ObjectId object) {
   return objects_.try_emplace(object).first->second;
+}
+
+void ObjectServer::record_arrival(ObjectId object, AppliedWrite w) {
+  if (config_.record_history) history_[object].push_back(w);
 }
 
 const std::vector<ObjectServer::AppliedWrite>& ObjectServer::applied_writes(
@@ -557,7 +561,7 @@ bool ObjectServer::install_sync_record(const wire::SliceRecord& rec) {
     s.alpha = alpha;
     s.last_writer = rec.writer;
     s.last_request_id = rec.request_id;
-    history_[object].push_back(AppliedWrite{s.value, net_.now()});
+    record_arrival(object, AppliedWrite{s.value, net_.now()});
     ++stats_.slices_synced;
     if (stats_board_ != nullptr) {
       stats_board_->set(StatKey::kClusterSlicesSynced,
@@ -612,8 +616,8 @@ void ObjectServer::apply_write(const WriteRequest& req) {
   // order and no Delta could make reads look on time). Arrival order breaks
   // exact ties.
   if (s.version > 0 && req.client_time < s.alpha) {
-    history_[req.object].push_back(
-        AppliedWrite{req.value, net_.now(), /*accepted=*/false});
+    record_arrival(req.object,
+                   AppliedWrite{req.value, net_.now(), /*accepted=*/false});
     trace(TraceEventType::kWriteApply, req.object, req.request_id,
           req.value.value, 0);
     // Version 0 in the ack marks the write as superseded: the writer's
@@ -637,7 +641,7 @@ void ObjectServer::apply_write(const WriteRequest& req) {
                        ? req.write_ts
                        : PlausibleTimestamp::merge_max(logical_now_, req.write_ts);
   }
-  history_[req.object].push_back(AppliedWrite{req.value, net_.now()});
+  record_arrival(req.object, AppliedWrite{req.value, net_.now()});
   trace(TraceEventType::kWriteApply, req.object, req.request_id,
         req.value.value, 1);
   const WriteAck ack{req.object, s.version, req.request_id};

@@ -68,6 +68,10 @@ struct ServerConfig {
   std::uint32_t admit_burst = 64;
   /// Bounded write deferrals under overload before applying anyway.
   std::uint32_t admit_max_write_deferrals = 2;
+  /// Keep every write arrival for applied_writes()/write_history(), the
+  /// experiment harness's oracle. Off by default: a long-running daemon
+  /// must not grow with every write it applies.
+  bool record_history = false;
 };
 
 struct ServerStats {
@@ -261,9 +265,10 @@ class ObjectServer {
   }
 
   /// Oracle access for the experiment harness: every write arrival in
-  /// server order (values are unique). `accepted` is false for writes that
-  /// lost the last-writer-wins race on start time alpha and never became
-  /// the object's value.
+  /// server order (values are unique), kept only with
+  /// ServerConfig::record_history (empty otherwise). `accepted` is false
+  /// for writes that lost the last-writer-wins race on start time alpha
+  /// and never became the object's value.
   struct AppliedWrite {
     Value value;
     SimTime applied_at;
@@ -366,6 +371,8 @@ class ObjectServer {
   ObjectCopy copy_of(ObjectId object, SimTime lease_extension = SimTime::zero()) const;
   void send(SiteId to, Message m);
   Stored& stored(ObjectId object);
+  /// Append to history_ when ServerConfig::record_history asks for it.
+  void record_arrival(ObjectId object, AppliedWrite w);
 
   Transport& net_;
   SiteId self_;

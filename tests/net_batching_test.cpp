@@ -12,6 +12,10 @@
 //    echo servers, a pipelined burst per connection comes back complete,
 //    in order, and byte-identical to the per-frame reference encoding —
 //    steering and tick-end batch flushing never reorder or corrupt.
+// 4. Send barrier: the owner's barrier runs before every sendmsg that moves
+//    bytes, on each path that flushes — the tick-end flush, the 256 KiB
+//    bypass inside a send, and an EPOLLOUT flush after EAGAIN — so a
+//    write-ahead log committed there is in the kernel before any reply.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -222,6 +226,137 @@ TEST(BatchedFlush, CoalescedFlushIsByteIdenticalToPerFrameSendsAndCheaper) {
   loop_thread.join();
   close(ref_sv[1]);
   close(bat_sv[1]);
+}
+
+/// A write-ahead log as the send barrier sees it: apply() logs a write
+/// whose reply may be queued next, the barrier commits. A byte leaving the
+/// connection while a logged write is uncommitted is a violation; check()
+/// catches it at the next event. Loop-thread only.
+struct BarrierProbe {
+  const net::Connection* conn = nullptr;
+  bool uncommitted = false;
+  std::uint64_t written_at_apply = 0;
+  int violations = 0;
+  int commits = 0;
+
+  void check() {
+    if (uncommitted && conn->stats().bytes_written > written_at_apply) {
+      ++violations;
+      uncommitted = false;  // count each escaped batch once
+    }
+  }
+  void apply() {
+    check();
+    if (!uncommitted) written_at_apply = conn->stats().bytes_written;
+    uncommitted = true;
+  }
+  void commit() {
+    check();
+    if (uncommitted) ++commits;
+    uncommitted = false;
+  }
+};
+
+TEST(BatchedFlush, SendBarrierRunsBeforeEverySendOnEveryFlushPath) {
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv), 0);
+  const int sndbuf = 4 * 1024;
+  ASSERT_EQ(setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)),
+            0);
+  net::EventLoop loop;
+  std::thread loop_thread([&] { loop.run(); });
+
+  Rng rng(11);
+  std::uint64_t seq = 0;
+  std::vector<std::uint8_t> expected;
+  std::vector<std::uint8_t> received;
+  const auto drain_available = [&] {
+    std::vector<std::uint8_t> buf(64 * 1024);
+    for (;;) {
+      const ssize_t n = read(sv[1], buf.data(), buf.size());
+      if (n <= 0) break;
+      received.insert(received.end(), buf.begin(), buf.begin() + n);
+    }
+  };
+
+  BarrierProbe probe;
+  const net::Connection::SendBarrier barrier = [&probe] { probe.commit(); };
+  std::unique_ptr<net::Connection> conn;
+  int armed = 0;
+  // Log a write, then queue the reply that reveals it.
+  const auto apply_and_reply = [&] {
+    probe.apply();
+    const Message m = test_message(rng, ++seq);
+    wire::encode_frame(SiteId{1}, SiteId{2}, m, expected);
+    conn->send_frame(SiteId{1}, SiteId{2}, m);
+  };
+
+  // 1. Tick-end flush: a batch of replies leaves in one flush_batched().
+  on_loop(loop, [&] {
+    conn = std::make_unique<net::Connection>(loop, sv[0], false);
+    conn->start([](net::Connection&, const wire::FrameView&) {},
+                [](net::Connection&, const char*) {});
+    conn->set_flush_scheduler([&armed](net::Connection&) { ++armed; });
+    conn->set_send_barrier(&barrier);
+    probe.conn = conn.get();
+    for (int i = 0; i < 8; ++i) apply_and_reply();
+    EXPECT_EQ(conn->stats().bytes_written, 0u);  // queued, not sent
+    conn->flush_batched();
+    probe.check();
+    EXPECT_GT(conn->stats().bytes_written, 0u);
+    EXPECT_EQ(probe.commits, 1);
+    return true;
+  });
+  drain_available();
+
+  // 2. Bypass: past 256 KiB queued, a send flushes inside the tick. The
+  // scheduler is never fired here, so every byte moved is a bypass flush.
+  on_loop(loop, [&] {
+    const int commits_before = probe.commits;
+    const std::uint64_t written_before = conn->stats().bytes_written;
+    while (conn->pending_write_bytes() < net::Connection::kFlushBypassBytes) {
+      apply_and_reply();
+    }
+    for (int i = 0; i < 4; ++i) apply_and_reply();
+    probe.check();
+    EXPECT_GT(conn->stats().bytes_written, written_before);
+    EXPECT_GT(probe.commits, commits_before);
+    return true;
+  });
+
+  // 3. EPOLLOUT: the socket is full (EAGAIN) and a write is logged with no
+  // send of its own; draining the reader wakes the loop, whose writable
+  // flush must commit before it sends.
+  const int commits_before = on_loop(loop, [&] {
+    EXPECT_GT(conn->pending_write_bytes(), 0u);
+    probe.apply();
+    return probe.commits;
+  });
+  const std::uint64_t written_before =
+      on_loop(loop, [&] { return conn->stats().bytes_written; });
+  while (received.size() < expected.size()) {
+    drain_available();
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  on_loop(loop, [&] {
+    probe.check();
+    EXPECT_GT(conn->stats().bytes_written, written_before);
+    EXPECT_EQ(probe.commits, commits_before + 1);
+    EXPECT_EQ(probe.violations, 0);
+    EXPECT_EQ(conn->pending_write_bytes(), 0u);
+    return true;
+  });
+  EXPECT_EQ(armed, 2);  // phases 1 and 2: never fired in phase 2
+  EXPECT_TRUE(received == expected) << "delivered bytes differ";
+
+  on_loop(loop, [&] {
+    conn->close("test done");
+    conn.reset();
+    return true;
+  });
+  loop.stop();
+  loop_thread.join();
+  close(sv[1]);
 }
 
 /// One raw blocking client: pipeline `burst` FetchRequests to `site`

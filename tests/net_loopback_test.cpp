@@ -9,12 +9,21 @@
 //
 // Also covered: the framed-transport hardening that request_id == 0
 // ("unsequenced", a raw in-process test convention) is rejected by servers
-// behind a real transport but still served on the raw sim path.
+// behind a real transport but still served on the raw sim path; and the
+// write-ahead log's promise that an ack means the record is already in the
+// kernel, checked from inside the client's ack handler.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <stdlib.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "clocks/physical_clock.hpp"
@@ -24,22 +33,41 @@
 #include "core/timed.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
+#include "obs/stats_board.hpp"
 #include "protocol/server.hpp"
 #include "protocol/timed_serial_cache.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "storage/wal.hpp"
 
 namespace timedc {
 namespace {
 
 /// An in-process timedc-server: one shard on an ephemeral port, its loop on
-/// its own thread. stats() is valid after stop().
+/// its own thread, with a write-ahead log at `wal_path` when one is given.
+/// stats() is valid after stop().
 class LoopbackServer {
  public:
-  LoopbackServer() {
+  explicit LoopbackServer(const std::string& wal_path = "") {
     port_ = transport_.listen(0);
     server_ = std::make_unique<ObjectServer>(transport_, SiteId{0}, 4,
                                              PushPolicy::kNone, MessageSizes{});
+    if (!wal_path.empty()) {
+      // Tick-end hooks in timedc-server's order: the transport's flush
+      // (registered by set_stats_board) before the log's own commit. A
+      // stall between them stands in for a slow rest of the tick, so only
+      // the send barrier can get a record into the file before its ack
+      // leaves.
+      transport_.set_stats_board(&board_);
+      loop_.add_tick_end_hook([this] {
+        if (wal_ != nullptr && wal_->pending_bytes() > 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+      wal_ = storage::WriteAheadLog::open(wal_path, *server_);
+      EXPECT_NE(wal_, nullptr);
+      if (wal_ != nullptr) wal_->attach(*server_, transport_);
+    }
     server_->attach();
     thread_ = std::thread([this] { loop_.run(); });
   }
@@ -60,8 +88,10 @@ class LoopbackServer {
 
  private:
   net::EventLoop loop_;
+  StatsBoard board_{0};
   net::TcpTransport transport_{loop_};
   std::unique_ptr<ObjectServer> server_;
+  std::unique_ptr<storage::WriteAheadLog> wal_;  // detaches before server_
   std::thread thread_;
   std::uint16_t port_ = 0;
 };
@@ -154,6 +184,108 @@ TEST(NetLoopback, TscWorkloadOverTcpIsTimedSequentiallyConsistent) {
   }
   const TscResult tsc = check_tsc(h, TimedSpecEpsilon{delta, SimTime::zero()});
   EXPECT_TRUE(tsc.ok()) << "TSC verdict: " << to_cstring(tsc.verdict());
+}
+
+/// Reads a write-ahead log as it grows: the values of every complete
+/// record so far.
+class WalReader {
+ public:
+  explicit WalReader(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    EXPECT_GE(fd_, 0);
+  }
+  ~WalReader() { ::close(fd_); }
+
+  bool holds(Value v) {
+    if (values_.count(v.value) == 0) catch_up();
+    return values_.count(v.value) != 0;
+  }
+
+  std::size_t records() {
+    catch_up();
+    return values_.size();
+  }
+
+ private:
+  void catch_up() {
+    char buf[4096];
+    for (;;) {
+      const ssize_t n = ::read(fd_, buf, sizeof(buf));
+      if (n <= 0) break;
+      partial_.append(buf, static_cast<std::size_t>(n));
+    }
+    std::size_t start = 0;
+    for (std::size_t nl; (nl = partial_.find('\n', start)) != std::string::npos;
+         start = nl + 1) {
+      storage::WalRecord rec;
+      EXPECT_TRUE(storage::parse_wal_record(
+          std::string_view(partial_).substr(start, nl - start), rec));
+      values_.insert(rec.request.value.value);
+    }
+    partial_.erase(0, start);
+  }
+
+  int fd_;
+  std::string partial_;
+  std::unordered_set<std::int64_t> values_;
+};
+
+TEST(NetLoopback, EveryAckedWriteIsInTheWalWhenItsAckArrives) {
+  constexpr int kClients = 8;
+  constexpr int kWritesPerClient = 150;  // 1,200 writes in all
+  const char* tmp = std::getenv("TMPDIR");
+  std::string dir = std::string(tmp != nullptr ? tmp : "/tmp") +
+                    "/timedc_loopback_wal.XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/wal.0";
+
+  LoopbackServer server(path);
+  net::EventLoop loop;
+  net::TcpTransport tx(loop, SimTime::millis(100));
+  tx.add_route(SiteId{0}, "127.0.0.1", server.port());
+  PerfectClock clock;
+  std::vector<std::unique_ptr<TimedSerialCache>> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(std::make_unique<TimedSerialCache>(
+        tx, SiteId{100 + static_cast<std::uint32_t>(c)}, SiteId{0}, &clock,
+        SimTime::millis(200), /*mark_old=*/true, MessageSizes{}));
+    clients.back()->attach();
+  }
+
+  // Each client writes back to back over a few shared objects, so the
+  // server applies several writes per tick and group-commits them.
+  WalReader reader(path);
+  int acked = 0;
+  int missing = 0;
+  std::vector<int> issued(kClients, 0);
+  int done = 0;
+  std::function<void(int)> issue = [&](int c) {
+    if (issued[c] == kWritesPerClient) {
+      if (++done == kClients) loop.stop();
+      return;
+    }
+    const int seq = issued[c]++;
+    const ObjectId object{static_cast<std::uint32_t>(seq % 4)};
+    const Value value{(c + 1) * 100000 + seq};
+    clients[c]->write(object, value, [&, c, value](SimTime) {
+      ++acked;
+      if (!reader.holds(value)) ++missing;
+      issue(c);
+    });
+  };
+  for (int c = 0; c < kClients; ++c) loop.post([&, c] { issue(c); });
+  loop.run_after(SimTime::seconds(30), [&] { loop.stop(); });  // hang guard
+  loop.run();
+  server.stop();
+
+  EXPECT_EQ(acked, kClients * kWritesPerClient);
+  EXPECT_EQ(missing, 0) << "acks arrived before their WAL records";
+  EXPECT_EQ(reader.records(),
+            static_cast<std::size_t>(kClients * kWritesPerClient));
+  EXPECT_EQ(server.stats().writes_applied,
+            static_cast<std::uint64_t>(kClients * kWritesPerClient));
+  ::unlink(path.c_str());
+  ::rmdir(dir.c_str());
 }
 
 TEST(NetLoopback, UnsequencedRequestIsRejectedOverTcp) {

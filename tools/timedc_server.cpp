@@ -14,8 +14,10 @@
 // heartbeats, DEAD detection (src/net/tcp_transport.hpp).
 //
 // Durability: --state-file FILE keeps a per-shard write-ahead log
-// (FILE.<site>). Every write decision is appended and flushed before its
-// ack leaves; a restarted process replays the log before listening, so
+// (FILE.<site>, src/storage/wal.hpp). Write decisions are group-committed:
+// one write(2) per loop tick, run at the shard transport's send barrier, so
+// every record reaches the kernel before any ack or reply that reveals its
+// write leaves. A restarted process replays the log before listening, so
 // object values, versions and the write-dedup slots (retransmission acks)
 // all survive a kill -9. With leases enabled the restart arms the
 // Gray-Cheriton grace window.
@@ -54,6 +56,7 @@
 #include <time.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -77,6 +80,7 @@
 #include "obs/stats_board.hpp"
 #include "obs/stats_bridge.hpp"
 #include "protocol/server.hpp"
+#include "storage/wal.hpp"
 
 namespace {
 
@@ -291,111 +295,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
          && opt.shards <= opt.cluster_size;
 }
 
-// --- write-ahead log --------------------------------------------------------
-//
-// One text record per write decision:
-//   W <object> <value> <version> <alpha_us> <writer> <request_id>
-//     <ts_origin> <ts_n> <entry>...
-// version 0 records a write that lost the last-writer-wins race (its dedup
-// ack must still be reconstructable). Records are flushed before the ack is
-// sent; on load, parsing stops at the first torn record (a kill -9 mid-
-// append) and the file is rewritten with only the complete prefix.
-
-struct WalRecord {
-  WriteRequest request;
-  std::uint64_t version = 0;
-};
-
-bool parse_wal_line(const std::string& line, WalRecord& rec) {
-  if (line.empty() || line[0] != 'W') return false;
-  const char* p = line.c_str() + 1;
-  char* end = nullptr;
-  auto u64 = [&](std::uint64_t& out) {
-    out = std::strtoull(p, &end, 10);
-    const bool ok = end != p;
-    p = end;
-    return ok;
-  };
-  auto i64 = [&](std::int64_t& out) {
-    out = std::strtoll(p, &end, 10);
-    const bool ok = end != p;
-    p = end;
-    return ok;
-  };
-  std::uint64_t object = 0, version = 0, writer = 0, request_id = 0;
-  std::uint64_t ts_origin = 0, ts_n = 0;
-  std::int64_t value = 0, alpha_us = 0;
-  if (!u64(object) || !i64(value) || !u64(version) || !i64(alpha_us) ||
-      !u64(writer) || !u64(request_id) || !u64(ts_origin) || !u64(ts_n)) {
-    return false;
-  }
-  if (ts_n > 4096) return false;
-  std::vector<std::uint64_t> entries(ts_n);
-  for (std::uint64_t k = 0; k < ts_n; ++k) {
-    if (!u64(entries[k])) return false;
-  }
-  rec.request.object = ObjectId{static_cast<std::uint32_t>(object)};
-  rec.request.value = Value{value};
-  rec.request.client_time = SimTime::micros(alpha_us);
-  rec.request.write_ts = ts_n == 0
-      ? PlausibleTimestamp{}
-      : PlausibleTimestamp(std::move(entries),
-                           SiteId{static_cast<std::uint32_t>(ts_origin)});
-  rec.request.reply_to = SiteId{static_cast<std::uint32_t>(writer)};
-  rec.request.request_id = request_id;
-  rec.version = version;
-  return true;
-}
-
-void append_wal_record(std::FILE* f, const WriteRequest& req,
-                       std::uint64_t version) {
-  std::fprintf(f, "W %u %lld %llu %lld %u %llu %u %u",
-               req.object.value, static_cast<long long>(req.value.value),
-               static_cast<unsigned long long>(version),
-               static_cast<long long>(req.client_time.as_micros()),
-               req.reply_to.value,
-               static_cast<unsigned long long>(req.request_id),
-               req.write_ts.origin().value,
-               static_cast<unsigned>(req.write_ts.num_entries()));
-  for (const std::uint64_t e : req.write_ts.entries()) {
-    std::fprintf(f, " %llu", static_cast<unsigned long long>(e));
-  }
-  std::fputc('\n', f);
-  // The ack is the durability promise: the record must reach the kernel
-  // before the reply can leave (the page cache survives a process kill).
-  std::fflush(f);
-}
-
-/// Replays FILE into `server`, rewrites FILE to its parseable prefix, and
-/// returns the handle left open for appending. Returns the replayed count
-/// through `restored`.
-std::FILE* load_and_open_wal(const std::string& path, ObjectServer& server,
-                             std::size_t& restored) {
-  std::vector<std::string> good_lines;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      WalRecord rec;
-      if (!parse_wal_line(line, rec)) break;  // torn tail: stop here
-      server.restore_write(rec.request, rec.version);
-      good_lines.push_back(line);
-    }
-  }
-  restored = good_lines.size();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "timedc-server: cannot open WAL %s\n", path.c_str());
-    std::exit(1);
-  }
-  for (const std::string& line : good_lines) {
-    std::fputs(line.c_str(), f);
-    std::fputc('\n', f);
-  }
-  std::fflush(f);
-  return f;
-}
-
 /// Per-shard self-healing state. Written only on the shard's loop thread
 /// once serving starts (membership / ring-update / slice-sync handlers all
 /// run there), so no locks: the serving ring that decides ownership, the
@@ -431,7 +330,8 @@ struct Shard {
   std::thread thread;
   std::uint16_t port = 0;
   SiteId site{0};
-  std::FILE* wal = nullptr;
+  // Declared last, so it is destroyed (and detached) first.
+  std::unique_ptr<storage::WriteAheadLog> wal;
 };
 
 /// Rebuild both deterministic rings from the sorted serving list. Every
@@ -598,15 +498,15 @@ int main(int argc, char** argv) {
     if (!opt.state_file.empty()) {
       const std::string path =
           opt.state_file + "." + std::to_string(s.site.value);
-      std::size_t restored = 0;
-      s.wal = load_and_open_wal(path, *s.server, restored);
-      total_restored += restored;
-      if (restored > 0) s.server->arm_restart_grace();
-      std::FILE* wal = s.wal;
-      s.server->set_write_log(
-          [wal](const WriteRequest& req, std::uint64_t version) {
-            append_wal_record(wal, req, version);
-          });
+      s.wal = storage::WriteAheadLog::open(path, *s.server);
+      if (s.wal == nullptr) {
+        std::fprintf(stderr, "timedc-server: cannot open WAL %s: %s\n",
+                     path.c_str(), std::strerror(errno));
+        std::exit(1);
+      }
+      total_restored += s.wal->restored();
+      if (s.wal->restored() > 0) s.server->arm_restart_grace();
+      s.wal->attach(*s.server, *s.transport);
     }
     s.server->set_stats_board(s.board.get());
     s.server->set_flight_recorder(s.flight.get());
@@ -979,7 +879,7 @@ int main(int argc, char** argv) {
     s.loop->post([transport] { transport->close_all(); });
     s.loop->stop();
     s.thread.join();
-    if (s.wal != nullptr) std::fclose(s.wal);
+    s.wal.reset();  // commits what no send has committed, then closes
     unregister_flight_recorder(s.flight.get());
   }
 
