@@ -164,17 +164,24 @@ std::vector<SimTime> staleness_gaps(const History& h) {
 }
 
 std::vector<ReadStaleness> per_read_staleness(const History& h) {
+  // A read is as stale as the oldest write it missed: the first write to
+  // its object later than its source (for an initial-value read, the
+  // object's first write). One binary search over writes_to_by_time per
+  // read, O(R log W), instead of the O(R x W) scan over every write
+  // (property-tested equivalent).
   std::vector<ReadStaleness> out;
   for (const Operation& r : h.operations()) {
     if (!r.is_read()) continue;
     ReadStaleness rs{r.index, SimTime::zero()};
-    const std::optional<OpIndex> src = h.forced_source(r.index);
-    for (OpIndex w2 : h.writes_to(r.object)) {
-      if (src && w2 == *src) continue;
-      const SimTime t_w2 = h.op(w2).time;
-      if (src && t_w2 <= h.op(*src).time) continue;
-      const SimTime gap = r.time - t_w2;
-      if (gap > rs.staleness) rs.staleness = gap;
+    const auto& ws = h.writes_to_by_time(r.object);
+    auto first_missed = ws.begin();
+    if (const std::optional<OpIndex> src = h.forced_source(r.index)) {
+      const SimTime t_src = h.op(*src).time;
+      first_missed = std::partition_point(
+          ws.begin(), ws.end(), [&](OpIndex w) { return h.op(w).time <= t_src; });
+    }
+    if (first_missed != ws.end()) {
+      rs.staleness = max(rs.staleness, r.time - h.op(*first_missed).time);
     }
     out.push_back(rs);
   }

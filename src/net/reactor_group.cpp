@@ -18,6 +18,7 @@ ReactorGroup::ReactorGroup(std::size_t reactors, SiteOwnerFn site_owner,
     r->transport = std::make_unique<TcpTransport>(*r->loop, latency_bound);
     reactors_.push_back(std::move(r));
   }
+  if (reactors == 1) return;  // nowhere to steer to
   for (std::size_t i = 0; i < reactors; ++i) {
     reactors_[i]->transport->set_steering([this](SiteId to) -> TcpTransport* {
       const std::size_t owner = site_owner_(to);
@@ -44,7 +45,8 @@ void ReactorGroup::enable_observability(std::uint32_t site_base,
     if (r.board == nullptr) {
       r.board = std::make_unique<StatsBoard>(
           site_base + static_cast<std::uint32_t>(i));
-      hub_->add(r.board.get());
+      const bool announced = hub_->add(r.board.get());
+      TIMEDC_ASSERT(announced && "more reactors than StatsHub::kMaxBoards");
     }
     r.transport->set_stats_board(r.board.get());
     r.transport->set_stats_hub(hub_.get());
@@ -59,13 +61,14 @@ void ReactorGroup::enable_observability(std::uint32_t site_base,
 
 std::uint16_t ReactorGroup::listen_shared(std::uint16_t port) {
   TIMEDC_ASSERT(!started_);
-  shared_port_ = reactors_[0]->transport->listen(port, /*reuse_port=*/true);
+  const bool reuse_port = reactors_.size() > 1;
+  port_ = reactors_[0]->transport->listen(port, reuse_port);
   for (std::size_t i = 1; i < reactors_.size(); ++i) {
     const std::uint16_t p =
-        reactors_[i]->transport->listen(shared_port_, /*reuse_port=*/true);
-    TIMEDC_ASSERT(p == shared_port_);
+        reactors_[i]->transport->listen(port_, /*reuse_port=*/true);
+    TIMEDC_ASSERT(p == port_);
   }
-  return shared_port_;
+  return port_;
 }
 
 void ReactorGroup::start(std::function<void(std::size_t)> on_thread_start) {

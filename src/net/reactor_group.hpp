@@ -1,19 +1,22 @@
 // N single-threaded reactors sharing one listening port.
 //
 // Each reactor is an (EventLoop, TcpTransport) pair pinned to its own
-// thread. All reactors listen on the same port with SO_REUSEPORT, so the
-// kernel shards incoming accepts across them; object-hash connection
-// steering (TcpTransport::set_steering) then moves each accepted
-// connection to the reactor that owns its destination site, so after the
-// first protocol frame every connection is wholly served by one thread and
-// reactors share no protocol state — the Transport seam is unchanged and
-// protocol code cannot tell one reactor from sixteen.
+// thread. With more than one reactor, all listen on the same port with
+// SO_REUSEPORT, so the kernel shards incoming accepts across them, and
+// object-hash connection steering (TcpTransport::set_steering) moves each
+// accepted connection to the reactor that owns its destination site: after
+// the first protocol frame every connection is wholly served by one thread
+// and reactors share no protocol state. The Transport seam is unchanged,
+// and protocol code cannot tell one reactor from sixteen. A group of one
+// binds its port exclusively and installs no steering, so a second server
+// on the same fixed port fails loudly.
 //
 // Site ownership is a function the caller provides (site -> reactor
 // index); the group wires it into every transport's steering hook. The
 // caller registers its per-reactor protocol objects between construction
 // and start() — transports are plain TcpTransports, reachable via
-// transport(i).
+// transport(i). cluster::Node (src/cluster/node.hpp) is the server built
+// on it.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +45,10 @@ class ReactorGroup {
   ReactorGroup(const ReactorGroup&) = delete;
   ReactorGroup& operator=(const ReactorGroup&) = delete;
 
-  /// Bind every reactor to the same 127.0.0.1:`port` with SO_REUSEPORT
-  /// (port 0: the first reactor picks an ephemeral port and the rest join
-  /// it). Returns the shared port. Call before start().
+  /// Bind every reactor to the same 127.0.0.1:`port`, with SO_REUSEPORT
+  /// when there is more than one (port 0: the first reactor picks an
+  /// ephemeral port and the rest join it). Returns the port. Call before
+  /// start().
   std::uint16_t listen_shared(std::uint16_t port);
 
   /// Launch one thread per reactor running its loop. `on_thread_start`, if
@@ -77,7 +81,8 @@ class ReactorGroup {
   std::size_t size() const { return reactors_.size(); }
   EventLoop& loop(std::size_t i) { return *reactors_[i]->loop; }
   TcpTransport& transport(std::size_t i) { return *reactors_[i]->transport; }
-  std::uint16_t shared_port() const { return shared_port_; }
+  /// The listening port; 0 before listen_shared().
+  std::uint16_t port() const { return port_; }
 
  private:
   struct Reactor {
@@ -91,7 +96,7 @@ class ReactorGroup {
   std::vector<std::unique_ptr<Reactor>> reactors_;
   SiteOwnerFn site_owner_;
   std::unique_ptr<StatsHub> hub_;
-  std::uint16_t shared_port_ = 0;
+  std::uint16_t port_ = 0;
   bool started_ = false;
 };
 

@@ -17,6 +17,13 @@ std::uint64_t round_up_pow2(std::uint64_t v) {
   return p;
 }
 
+/// The seqlock reader's side of a field record() may be storing to.
+template <typename T>
+T load_relaxed(const T& field) {
+  return std::atomic_ref<T>(const_cast<T&>(field))
+      .load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
 FlightRecorder::FlightRecorder(std::uint32_t site, std::size_t capacity,
@@ -39,13 +46,24 @@ std::vector<FlightRecord> FlightRecorder::snapshot() const {
   std::vector<FlightRecord> out;
   out.reserve(static_cast<std::size_t>(end - begin));
   for (std::uint64_t i = begin; i < end; ++i) {
-    out.push_back(ring_[i & mask_]);
+    const FlightRecord& slot = ring_[i & mask_];
+    FlightRecord& r = out.emplace_back();
+    r.t_us = load_relaxed(slot.t_us);
+    r.site = load_relaxed(slot.site);
+    r.type = load_relaxed(slot.type);
+    r.obj = load_relaxed(slot.obj);
+    r.op = load_relaxed(slot.op);
+    r.a = load_relaxed(slot.a);
+    r.b = load_relaxed(slot.b);
   }
   // Anything the producer may have been rewriting while we copied is
   // suspect: a slot for index i is rewritten when the producer starts
   // index i + cap, so after re-reading the index only records with
   // i >= end2 + 1 - cap are certainly untorn (end2 itself may be mid-store).
-  const std::uint64_t end2 = next_.load(std::memory_order_acquire);
+  // The acquire fence pairs with record()'s release fence: a copy that
+  // saw a store of index j makes this load return at least j.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  const std::uint64_t end2 = next_.load(std::memory_order_relaxed);
   const std::uint64_t safe_begin = end2 + 1 > cap ? end2 + 1 - cap : 0;
   if (safe_begin > begin) {
     out.erase(out.begin(),

@@ -3,11 +3,11 @@
 //
 // A FlightRecorder is a fixed-capacity single-producer ring of POD event
 // records. The producer is ONE reactor thread; record() costs one enabled
-// branch, one masked index, a 40-byte struct store and a relaxed counter
-// bump — no locks, no allocation, no formatting. The ring overwrites its
-// oldest entries forever (flight-recorder semantics: the last `capacity`
-// events before an incident are what matter); overwritten_ counts what the
-// wrap discarded.
+// branch, one masked index, the record's fields stored as relaxed atomics
+// (plain moves on x86) and a release counter store — no locks, no
+// allocation, no formatting. The ring overwrites its oldest entries
+// forever (flight-recorder semantics: the last `capacity` events before an
+// incident are what matter); overwritten_ counts what the wrap discarded.
 //
 // Reading happens two ways:
 //   * snapshot(): any thread copies the live ring. Records the producer
@@ -77,19 +77,24 @@ class FlightRecorder {
   std::size_t capacity() const { return ring_.size(); }
 
   /// Producer-side append (single producer: the owning reactor thread).
+  /// The slot is written as a seqlock writer (Boehm, "Can Seqlocks Get
+  /// Along with Programming Language Memory Models?", MSPC 2012): relaxed
+  /// atomic stores after a release fence, so a snapshot() that sees any of
+  /// them also sees this index in next_, and discards the slot.
   void record(TraceEventType type, std::int64_t t_us,
               ObjectId object = kNoObject, std::uint64_t op = 0,
               std::int64_t a = 0, std::int64_t b = 0) {
     if (!enabled_) return;
     const std::uint64_t i = next_.load(std::memory_order_relaxed);
     FlightRecord& r = ring_[i & mask_];
-    r.t_us = t_us;
-    r.site = site_;
-    r.type = static_cast<std::uint8_t>(type);
-    r.obj = object.value;
-    r.op = static_cast<std::uint32_t>(op);
-    r.a = a;
-    r.b = b;
+    std::atomic_thread_fence(std::memory_order_release);
+    store_relaxed(r.t_us, t_us);
+    store_relaxed(r.site, site_);
+    store_relaxed(r.type, static_cast<std::uint8_t>(type));
+    store_relaxed(r.obj, object.value);
+    store_relaxed(r.op, static_cast<std::uint32_t>(op));
+    store_relaxed(r.a, a);
+    store_relaxed(r.b, b);
     next_.store(i + 1, std::memory_order_release);
   }
 
@@ -112,6 +117,11 @@ class FlightRecorder {
   bool dump_to_file(const char* path) const;
 
  private:
+  template <typename T>
+  static void store_relaxed(T& field, T value) {
+    std::atomic_ref<T>(field).store(value, std::memory_order_relaxed);
+  }
+
   bool enabled_;
   const std::uint32_t site_;
   std::uint64_t mask_ = 0;

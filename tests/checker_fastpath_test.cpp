@@ -1,8 +1,9 @@
 // Equivalence of the checker fast paths (prefilters, forced-order
 // constraint graph, seed-order pass, packed memo key) with the plain
-// exhaustive engine, and of the sorted-scan timed check with the naive
-// O(R x W) reference — property-tested over generated histories of both
-// families. Verdicts must match exactly; witnesses may differ.
+// exhaustive engine, and of the sorted-scan timed check and staleness scan
+// with the naive O(R x W) references — property-tested over generated
+// histories of both families. Verdicts must match exactly; witnesses may
+// differ.
 #include <gtest/gtest.h>
 
 #include "clocks/physical_clock.hpp"
@@ -123,6 +124,66 @@ TEST(TimedFastPathTest, SortedScanMatchesNaiveIncludingWrContents) {
               << "W_r mismatch i=" << i << " delta=" << d << " eps=" << e;
         }
       }
+    }
+  }
+}
+
+/// The O(R x W) staleness scan, kept as the test oracle.
+std::vector<ReadStaleness> naive_per_read_staleness(const History& h) {
+  std::vector<ReadStaleness> out;
+  for (const Operation& r : h.operations()) {
+    if (!r.is_read()) continue;
+    ReadStaleness rs{r.index, SimTime::zero()};
+    const std::optional<OpIndex> src = h.forced_source(r.index);
+    for (OpIndex w2 : h.writes_to(r.object)) {
+      if (src && w2 == *src) continue;
+      const SimTime t_w2 = h.op(w2).time;
+      if (src && t_w2 <= h.op(*src).time) continue;
+      const SimTime gap = r.time - t_w2;
+      if (gap > rs.staleness) rs.staleness = gap;
+    }
+    out.push_back(rs);
+  }
+  return out;
+}
+
+/// A history built for the staleness scan's edge cases: 1-2 us steps, so
+/// sites tie in time; every object's values counting from 1, so one value
+/// is written to several objects and read back from each; and reads that
+/// return the initial value.
+History tie_history(Rng& rng) {
+  constexpr std::int64_t kSites = 4;
+  constexpr std::int64_t kObjects = 3;
+  HistoryBuilder builder(kSites);
+  std::vector<std::int64_t> now(kSites, 0);
+  std::vector<std::int64_t> written(kObjects, 0);  // values 1..written[o]
+  for (int k = 0; k < 40; ++k) {
+    const auto site = static_cast<std::uint32_t>(rng.uniform_int(0, kSites - 1));
+    const auto obj = static_cast<std::uint32_t>(rng.uniform_int(0, kObjects - 1));
+    now[site] += rng.uniform_int(1, 2);
+    const SimTime t = SimTime::micros(now[site]);
+    if (rng.bernoulli(0.4)) {
+      builder.write(SiteId{site}, ObjectId{obj}, Value{++written[obj]}, t);
+    } else {
+      builder.read(SiteId{site}, ObjectId{obj},
+                   Value{rng.uniform_int(0, written[obj])}, t);
+    }
+  }
+  return builder.build();
+}
+
+TEST(TimedFastPathTest, PerReadStalenessMatchesNaive) {
+  for (int i = 0; i < 600; ++i) {
+    Rng rng = Rng::stream(8675309, static_cast<std::uint64_t>(i));
+    const History h = i % 3 == 0 ? tie_history(rng) : generate(8675309, i);
+    const auto fast = per_read_staleness(h);
+    const auto naive = naive_per_read_staleness(h);
+    ASSERT_EQ(fast.size(), naive.size());
+    for (std::size_t k = 0; k < fast.size(); ++k) {
+      EXPECT_EQ(fast[k].read, naive[k].read);
+      EXPECT_EQ(fast[k].staleness.as_micros(), naive[k].staleness.as_micros())
+          << "i=" << i << " read " << fast[k].read.value << "\n"
+          << h.to_string();
     }
   }
 }

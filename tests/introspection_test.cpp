@@ -8,15 +8,15 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "cluster/node.hpp"
 #include "net/event_loop.hpp"
-#include "net/reactor_group.hpp"
 #include "net/tcp_transport.hpp"
 #include "obs/stats_board.hpp"
 #include "protocol/messages.hpp"
-#include "protocol/server.hpp"
 
 namespace timedc {
 namespace {
@@ -126,37 +126,33 @@ TEST(StatsHub, RegistersUpToCapacityAndFindsBySite) {
   EXPECT_EQ(hub.find(999), nullptr);
 }
 
-// One connection to ANY reactor scrapes EVERY reactor's board: the serving
-// group runs real traffic first so the boards carry nonzero ops, then a
-// separate poller transport issues one kStatsRequest for all sites.
+// One connection to ANY reactor scrapes EVERY reactor's board: a
+// two-reactor node (the timedc-server daemon) serves real traffic first so
+// the boards carry nonzero ops, then a separate poller transport issues
+// one kStatsRequest for all sites.
 TEST(Introspection, WireScrapeOfLiveMultiReactorServer) {
   constexpr std::size_t kReactors = 2;
-  constexpr std::uint32_t kSiteBase = 9000;
+  constexpr std::uint32_t kSiteBase = 0;  // sites 0 and 1 own every object
   constexpr int kOps = 300;
 
-  net::ReactorGroup group(
-      kReactors, [](SiteId site) { return site.value % kReactors; });
-  group.enable_observability(kSiteBase, /*flight_capacity=*/1u << 10);
-  const std::uint16_t port = group.listen_shared(0);
-
-  std::vector<std::unique_ptr<ObjectServer>> servers;
-  for (std::size_t r = 0; r < kReactors; ++r) {
-    auto server = std::make_unique<ObjectServer>(
-        group.transport(r), SiteId{static_cast<std::uint32_t>(r)}, 4,
-        PushPolicy::kNone, MessageSizes{});
-    server->set_stats_board(group.stats_board(r));
-    server->set_flight_recorder(group.flight_recorder(r));
-    server->attach();
-    servers.push_back(std::move(server));
-  }
-  group.start();
+  cluster::NodeConfig config;
+  config.reactors = kReactors;
+  config.site_base = kSiteBase;
+  config.flight_capacity = 1u << 10;
+  std::string error;
+  const auto node = cluster::Node::create(config, &error);
+  ASSERT_NE(node, nullptr) << error;
+  const std::uint16_t port = node->port();
+  node->start();
 
   // One continuous loop run, phases chained by callbacks: drive fetches at
   // both server sites, then an all-sites scrape, then a targeted scrape.
   net::EventLoop loop;
   net::TcpTransport tx(loop, SimTime::millis(100));
-  tx.add_route(SiteId{0}, "127.0.0.1", port);
-  tx.add_route(SiteId{1}, "127.0.0.1", port);
+  const SiteId site0{kSiteBase};
+  const SiteId site1{kSiteBase + 1};
+  tx.add_route(site0, "127.0.0.1", port);
+  tx.add_route(site1, "127.0.0.1", port);
   std::map<std::uint32_t, std::map<std::uint16_t, std::int64_t>> scraped;
   std::map<std::uint32_t, std::map<std::uint16_t, std::int64_t>> targeted;
   std::uint64_t reply_seq = 0;
@@ -168,7 +164,7 @@ TEST(Introspection, WireScrapeOfLiveMultiReactorServer) {
     wire::StatsRequest rq;
     rq.seq = kScrapeSeqBase + static_cast<std::uint64_t>(scrape_attempts++);
     rq.target_site = wire::kAllSites;
-    ASSERT_TRUE(tx.send_stats_request(SiteId{500}, SiteId{0}, rq));
+    ASSERT_TRUE(tx.send_stats_request(SiteId{500}, site0, rq));
   };
   tx.register_site(SiteId{500}, [&](SiteId, const Message& m) {
     ASSERT_TRUE(std::holds_alternative<FetchReply>(m));
@@ -203,7 +199,7 @@ TEST(Introspection, WireScrapeOfLiveMultiReactorServer) {
           wire::StatsRequest rq;
           rq.seq = kTargetedSeq;
           rq.target_site = kSiteBase + 1;
-          ASSERT_TRUE(tx.send_stats_request(SiteId{500}, SiteId{1}, rq));
+          ASSERT_TRUE(tx.send_stats_request(SiteId{500}, site1, rq));
         } else {
           for (const wire::StatsRow& row : rows) {
             targeted[row.site][row.key] = row.value;
@@ -217,8 +213,7 @@ TEST(Introspection, WireScrapeOfLiveMultiReactorServer) {
       req.object = ObjectId{static_cast<std::uint32_t>(i % 8)};
       req.reply_to = SiteId{500};
       req.request_id = static_cast<std::uint64_t>(i + 1);
-      tx.send_message(SiteId{500},
-                      SiteId{static_cast<std::uint32_t>(i % 2)}, Message{req},
+      tx.send_message(SiteId{500}, i % 2 == 0 ? site0 : site1, Message{req},
                       64);
     }
   });
@@ -255,9 +250,9 @@ TEST(Introspection, WireScrapeOfLiveMultiReactorServer) {
 
   // Transport stats are loop-thread-owned; read them only after stop()
   // has joined the reactor threads.
-  group.stop();
-  EXPECT_GT(group.transport(0).stats().stats_requests_served +
-                group.transport(1).stats().stats_requests_served,
+  node->stop(0);
+  EXPECT_GT(node->transport(0).stats().stats_requests_served +
+                node->transport(1).stats().stats_requests_served,
             0u);
 }
 

@@ -1,5 +1,5 @@
 // Loopback integration tests for the real TCP transport stack: an
-// in-process timedc server (EventLoop + TcpTransport + ObjectServer on an
+// in-process timedc server (a cluster::Node, the timedc-server daemon, on an
 // ephemeral 127.0.0.1 port) serving TSC clients over a second transport.
 //
 // The headline property is the paper's: a fault-free TSC execution over
@@ -27,13 +27,13 @@
 #include <vector>
 
 #include "clocks/physical_clock.hpp"
+#include "cluster/node.hpp"
 #include "common/rng.hpp"
 #include "core/checkers.hpp"
 #include "core/history.hpp"
 #include "core/timed.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
-#include "obs/stats_board.hpp"
 #include "protocol/server.hpp"
 #include "protocol/timed_serial_cache.hpp"
 #include "sim/network.hpp"
@@ -43,69 +43,30 @@
 namespace timedc {
 namespace {
 
-/// An in-process timedc-server: one shard on an ephemeral port, its loop on
-/// its own thread, with a write-ahead log at `wal_path` when one is given.
-/// stats() is valid after stop().
-class LoopbackServer {
- public:
-  explicit LoopbackServer(const std::string& wal_path = "") {
-    port_ = transport_.listen(0);
-    server_ = std::make_unique<ObjectServer>(transport_, SiteId{0}, 4,
-                                             PushPolicy::kNone, MessageSizes{});
-    if (!wal_path.empty()) {
-      // Tick-end hooks in timedc-server's order: the transport's flush
-      // (registered by set_stats_board) before the log's own commit. A
-      // stall between them stands in for a slow rest of the tick, so only
-      // the send barrier can get a record into the file before its ack
-      // leaves.
-      transport_.set_stats_board(&board_);
-      loop_.add_tick_end_hook([this] {
-        if (wal_ != nullptr && wal_->pending_bytes() > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      });
-      wal_ = storage::WriteAheadLog::open(wal_path, *server_);
-      EXPECT_NE(wal_, nullptr);
-      if (wal_ != nullptr) wal_->attach(*server_, transport_);
-    }
-    server_->attach();
-    thread_ = std::thread([this] { loop_.run(); });
-  }
-
-  ~LoopbackServer() {
-    if (thread_.joinable()) stop();
-  }
-
-  void stop() {
-    net::TcpTransport* transport = &transport_;
-    loop_.post([transport] { transport->close_all(); });
-    loop_.stop();
-    thread_.join();
-  }
-
-  std::uint16_t port() const { return port_; }
-  const ServerStats& stats() const { return server_->stats(); }
-
- private:
-  net::EventLoop loop_;
-  StatsBoard board_{0};
-  net::TcpTransport transport_{loop_};
-  std::unique_ptr<ObjectServer> server_;
-  std::unique_ptr<storage::WriteAheadLog> wal_;  // detaches before server_
-  std::thread thread_;
-  std::uint16_t port_ = 0;
-};
+/// An in-process timedc-server: site 0 on an ephemeral port, with a
+/// write-ahead log at "<state_file>.0" when a state file is given. Nothing
+/// serves until start().
+std::unique_ptr<cluster::Node> make_server(const std::string& state_file = "") {
+  cluster::NodeConfig config;
+  config.state_file = state_file;
+  std::string error;
+  std::unique_ptr<cluster::Node> node = cluster::Node::create(config, &error);
+  EXPECT_NE(node, nullptr) << error;
+  return node;
+}
 
 TEST(NetLoopback, TscWorkloadOverTcpIsTimedSequentiallyConsistent) {
   constexpr int kClients = 3;
   constexpr int kOpsPerClient = 8;
   const SimTime delta = SimTime::millis(200);  // far above loopback RTT
 
-  LoopbackServer server;
+  const auto server = make_server();
+  ASSERT_NE(server, nullptr);
+  server->start();
 
   net::EventLoop loop;
   net::TcpTransport tx(loop, SimTime::millis(100));
-  tx.add_route(SiteId{0}, "127.0.0.1", server.port());
+  tx.add_route(SiteId{0}, "127.0.0.1", server->port());
   PerfectClock clock;
   std::vector<std::unique_ptr<TimedSerialCache>> clients;
   for (int c = 0; c < kClients; ++c) {
@@ -153,12 +114,12 @@ TEST(NetLoopback, TscWorkloadOverTcpIsTimedSequentiallyConsistent) {
   for (int c = 0; c < kClients; ++c) loop.post([&, c] { issue(c); });
   loop.run_after(SimTime::seconds(30), [&] { loop.stop(); });  // hang guard
   loop.run();
-  server.stop();
+  server->stop(0);
 
   ASSERT_EQ(recs.size(), static_cast<std::size_t>(kClients * kOpsPerClient));
   EXPECT_EQ(tx.stats().decode_errors, 0u);
   EXPECT_EQ(tx.stats().unroutable, 0u);
-  EXPECT_EQ(server.stats().rejected_unsequenced, 0u);
+  EXPECT_EQ(server->server(0).stats().rejected_unsequenced, 0u);
 
   // Per-site completion order is append order; bump equal-microsecond
   // neighbors to satisfy the History strictly-increasing invariant.
@@ -239,10 +200,22 @@ TEST(NetLoopback, EveryAckedWriteIsInTheWalWhenItsAckArrives) {
   ASSERT_NE(::mkdtemp(dir.data()), nullptr);
   const std::string path = dir + "/wal.0";
 
-  LoopbackServer server(path);
+  const auto server = make_server(dir + "/wal");
+  ASSERT_NE(server, nullptr);
+  // Tick-end hooks run in the node's order: the transport's flush,
+  // registered when the node is built, before the log's commit, attached
+  // by start(). A stall between them stands in for a slow rest of the
+  // tick, so only the send barrier can get a record into the file before
+  // its ack leaves.
+  server->loop(0).add_tick_end_hook([&server] {
+    if (server->wal(0)->pending_bytes() > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  server->start();
   net::EventLoop loop;
   net::TcpTransport tx(loop, SimTime::millis(100));
-  tx.add_route(SiteId{0}, "127.0.0.1", server.port());
+  tx.add_route(SiteId{0}, "127.0.0.1", server->port());
   PerfectClock clock;
   std::vector<std::unique_ptr<TimedSerialCache>> clients;
   for (int c = 0; c < kClients; ++c) {
@@ -276,24 +249,26 @@ TEST(NetLoopback, EveryAckedWriteIsInTheWalWhenItsAckArrives) {
   for (int c = 0; c < kClients; ++c) loop.post([&, c] { issue(c); });
   loop.run_after(SimTime::seconds(30), [&] { loop.stop(); });  // hang guard
   loop.run();
-  server.stop();
+  server->stop(0);
 
   EXPECT_EQ(acked, kClients * kWritesPerClient);
   EXPECT_EQ(missing, 0) << "acks arrived before their WAL records";
   EXPECT_EQ(reader.records(),
             static_cast<std::size_t>(kClients * kWritesPerClient));
-  EXPECT_EQ(server.stats().writes_applied,
+  EXPECT_EQ(server->server(0).stats().writes_applied,
             static_cast<std::uint64_t>(kClients * kWritesPerClient));
   ::unlink(path.c_str());
   ::rmdir(dir.c_str());
 }
 
 TEST(NetLoopback, UnsequencedRequestIsRejectedOverTcp) {
-  LoopbackServer server;
+  const auto server = make_server();
+  ASSERT_NE(server, nullptr);
+  server->start();
 
   net::EventLoop loop;
   net::TcpTransport tx(loop, SimTime::millis(100));
-  tx.add_route(SiteId{0}, "127.0.0.1", server.port());
+  tx.add_route(SiteId{0}, "127.0.0.1", server->port());
 
   std::vector<Message> replies;
   tx.register_site(SiteId{500}, [&](SiteId, const Message& m) {
@@ -311,14 +286,14 @@ TEST(NetLoopback, UnsequencedRequestIsRejectedOverTcp) {
   });
   loop.run_after(SimTime::seconds(30), [&] { loop.stop(); });  // hang guard
   loop.run();
-  server.stop();
+  server->stop(0);
 
   ASSERT_EQ(replies.size(), 1u);
   const auto* reply = std::get_if<FetchReply>(&replies[0]);
   ASSERT_NE(reply, nullptr);
   EXPECT_EQ(reply->request_id, 1u);
-  EXPECT_EQ(server.stats().rejected_unsequenced, 1u);
-  EXPECT_EQ(server.stats().fetches, 1u);
+  EXPECT_EQ(server->server(0).stats().rejected_unsequenced, 1u);
+  EXPECT_EQ(server->server(0).stats().fetches, 1u);
 }
 
 TEST(NetLoopback, UnsequencedRequestStillServedOnRawSimPath) {

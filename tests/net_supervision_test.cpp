@@ -17,11 +17,14 @@
 #include <future>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "clocks/physical_clock.hpp"
+#include "cluster/node.hpp"
+#include "cluster/ring.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
 #include "obs/metrics.hpp"
@@ -419,47 +422,49 @@ TEST(NetSupervision, BoundedQueueDropsOldestWhenFull) {
   client.stop();
 }
 
-/// A --cluster deployment in one process: `members` members, each an
-/// ObjectServer (modulo ownership) on its own loop with supervised routes to
-/// every other member, both sides of each pair dialing as timedc-server
-/// primes them. A client misroutes every op, rotating over the members that
-/// do not own its object, so each member forwards to each other member and
-/// replies come back through a forwarder.
+/// A free loopback port, bound and released at once: for a node whose
+/// peers must know its port before it binds.
+std::uint16_t free_port() {
+  net::EventLoop loop;
+  net::TcpTransport probe(loop);
+  return probe.listen(0);
+}
+
+/// A --cluster deployment in one process: `members` single-site nodes (the
+/// timedc-server daemon) with ring ownership and supervised routes to every
+/// other member, each dialing the others at start as the daemon does. A
+/// client misroutes every op, rotating over the members that do not own
+/// its object on the ring, so each member forwards to each other member
+/// and replies come back through a forwarder.
 void run_misrouting_cluster(std::uint32_t members) {
-  std::vector<SiteId> cluster;
-  std::vector<std::unique_ptr<NetNode>> nodes;
+  std::vector<SiteId> sites;
+  std::vector<std::uint16_t> ports;
   for (std::uint32_t i = 0; i < members; ++i) {
-    cluster.push_back(SiteId{i});
-    nodes.push_back(std::make_unique<NetNode>());
+    sites.push_back(SiteId{i});
+    ports.push_back(free_port());
   }
-  std::vector<std::unique_ptr<ObjectServer>> servers;
+  std::vector<std::unique_ptr<cluster::Node>> nodes;
   for (std::uint32_t i = 0; i < members; ++i) {
-    net::TcpTransport& tx = nodes[i]->transport();
-    servers.push_back(std::make_unique<ObjectServer>(
-        tx, SiteId{i}, members, PushPolicy::kNone, MessageSizes{}, cluster));
-    servers.back()->attach();
-    tx.enable_cluster(SiteId{i});
+    cluster::NodeConfig config;
+    config.port = ports[i];
+    config.site_base = i;
+    config.cluster_size = members;
+    config.cluster = true;
+    config.heartbeat_ms = 50;
     for (std::uint32_t j = 0; j < members; ++j) {
-      if (j != i) tx.add_route(SiteId{j}, "127.0.0.1", nodes[j]->port());
+      if (j != i) config.peers.push_back({j, "127.0.0.1", ports[j]});
     }
-    net::SupervisionConfig sup;
-    sup.enabled = true;
-    sup.heartbeat_interval = SimTime::millis(50);
-    tx.set_supervision(sup);
+    std::string error;
+    nodes.push_back(cluster::Node::create(config, &error));
+    ASSERT_NE(nodes.back(), nullptr) << error;
   }
   for (auto& node : nodes) node->start();
   for (std::uint32_t i = 0; i < members; ++i) {
-    net::TcpTransport& tx = nodes[i]->transport();
-    on_loop(nodes[i]->loop(), [&] {
-      for (std::uint32_t j = 0; j < members; ++j) {
-        if (j != i) tx.prime_supervised(SiteId{j});
-      }
-      return true;
-    });
     for (std::uint32_t j = 0; j < members; ++j) {
       if (j == i) continue;
-      ASSERT_TRUE(poll_loop(nodes[i]->loop(), [&] {
-        return tx.connection_state(SiteId{j}) == net::ConnectionState::kHealthy;
+      ASSERT_TRUE(poll_loop(nodes[i]->loop(0), [&] {
+        return nodes[i]->transport(0).connection_state(SiteId{j}) ==
+               net::ConnectionState::kHealthy;
       }));
     }
   }
@@ -471,6 +476,8 @@ void run_misrouting_cluster(std::uint32_t members) {
   for (std::uint32_t i = 0; i < members; ++i) {
     tx.add_route(SiteId{i}, "127.0.0.1", nodes[i]->port());
   }
+  cluster::HashRing ring;  // the members' own ring: same list, same owners
+  ring.set_members(sites);
   PerfectClock clock;
   std::uint32_t misroutes = 0;
   std::vector<std::unique_ptr<TimedSerialCache>> clients;
@@ -478,16 +485,16 @@ void run_misrouting_cluster(std::uint32_t members) {
     auto client = std::make_unique<TimedSerialCache>(
         tx, SiteId{100 + c}, SiteId{0}, &clock, SimTime::millis(200),
         /*mark_old=*/true, MessageSizes{});
-    client->set_route([members, &misroutes](ObjectId object) {
+    client->set_route([members, &ring, &misroutes](ObjectId object) {
       const std::uint32_t hop = 1 + misroutes++ % (members - 1);
-      return SiteId{(object.value % members + hop) % members};
+      return SiteId{(ring.owner_of(object).value + hop) % members};
     });
     // One retry, far beyond any loopback round trip: a lost or looping
     // reply shows up as a retry instead of a hang.
     RetryPolicy policy;
     policy.max_attempts = 2;
     policy.base_timeout = SimTime::seconds(5);
-    client->configure_reliability(policy, cluster, 11 + c);
+    client->configure_reliability(policy, sites, 11 + c);
     client->attach();
     clients.push_back(std::move(client));
   }
@@ -522,13 +529,12 @@ void run_misrouting_cluster(std::uint32_t members) {
   std::uint64_t relayed = 0;
   for (auto& node : nodes) {
     const net::TcpTransportStats stats =
-        on_loop(node->loop(), [&] { return node->transport().stats(); });
+        on_loop(node->loop(0), [&] { return node->transport(0).stats(); });
     forwards_out += stats.forwards_out;
     relayed += stats.relayed;
   }
   EXPECT_GT(forwards_out, 0u);
   EXPECT_LE(relayed, forwards_out);
-  for (auto& node : nodes) node->stop();  // before the servers die
 }
 
 TEST(NetCluster, TwoMembersMisroutedOpsCompleteWithoutRelayLoops) {
