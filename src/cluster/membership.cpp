@@ -21,6 +21,12 @@ void MembershipTable::add_configured(SiteId site) {
   }
 }
 
+void MembershipTable::start_silence_clocks(std::int64_t now_us) {
+  for (Member& m : members_) {
+    if (m.site != self_.value && m.last_heard_us == 0) m.last_heard_us = now_us;
+  }
+}
+
 Member* MembershipTable::find(std::uint32_t site) {
   for (Member& m : members_) {
     if (m.site == site) return &m;

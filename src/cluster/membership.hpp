@@ -54,6 +54,12 @@ class MembershipTable {
   /// not bump the epoch: this is the configured baseline, not a change.
   void add_configured(SiteId site);
 
+  /// Start the silence clock of every member never heard from at `now_us`
+  /// (the node starts serving). Until then a member's clock is 0 and it is
+  /// never suspected; after it, a configured member that dies before its
+  /// first digest arrives is suspected like any other silent one.
+  void start_silence_clocks(std::int64_t now_us);
+
   /// Direct evidence of life (a frame arrived from `site`). Clears any
   /// suspicion at the current incarnation. Returns true when the alive set
   /// changed (epoch bumped).

@@ -93,7 +93,11 @@ std::unique_ptr<Node> Node::create(const NodeConfig& config,
     node->restored_ += r->wal->restored();
     if (r->wal->restored() > 0) r->server->arm_restart_grace();
   }
-  node->group_.listen_shared(config.port);
+  if (node->group_.listen_shared(config.port) == 0) {
+    *error = "cannot listen on port " + std::to_string(config.port) + ": " +
+             std::strerror(errno);
+    return nullptr;
+  }
   // Routes to the other local sites and to every peer, all supervised: a
   // crashed or partitioned member is re-dialed with backoff and detected
   // DEAD by heartbeat silence.
@@ -127,10 +131,12 @@ void Node::start() {
   running_ = true;
   if (!config_.cluster) return;
   // Dial every member now, so heartbeats and the gossip riding them flow
-  // before any request traffic.
+  // before any request traffic. Silence counts from here: a member that
+  // never sends a digest is suspected like one that stopped sending.
   for (auto& rp : reactors_) {
     Reactor* r = rp.get();
     r->loop->post([this, r] {
+      r->membership->start_silence_clocks(r->loop->now().as_micros());
       for (const auto& other : reactors_) {
         if (other.get() != r) r->transport->prime_supervised(other->site);
       }
@@ -239,9 +245,9 @@ void Node::enable_cluster(Reactor& r) {
         epoch = table.epoch();
       });
   t.set_membership_handler(
-      [this, &r](SiteId from, std::uint64_t epoch, std::uint64_t,
+      [this, &r](SiteId from, std::uint64_t epoch, std::uint64_t ring_epoch,
                  std::span<const wire::MemberEntry> members) {
-        on_gossip(r, from, epoch, members);
+        on_gossip(r, from, epoch, ring_epoch, members);
       });
   // A bounced stale forward comes back with the bouncer's ring: adopt a
   // strictly newer view at once instead of waiting for gossip.
@@ -281,6 +287,7 @@ void Node::enable_cluster(Reactor& r) {
 }
 
 void Node::on_gossip(Reactor& r, SiteId from, std::uint64_t epoch,
+                     std::uint64_t ring_epoch,
                      std::span<const wire::MemberEntry> members) {
   MembershipTable& table = *r.membership;
   const std::int64_t now_us = r.loop->now().as_micros();
@@ -292,8 +299,7 @@ void Node::on_gossip(Reactor& r, SiteId from, std::uint64_t epoch,
   r.board->set(StatKey::kClusterMembers,
                static_cast<std::int64_t>(table.alive_count()));
   r.board->set(StatKey::kClusterEpoch, static_cast<std::int64_t>(table.epoch()));
-  if (!changed) return;
-  if (r.flight != nullptr) {
+  if (changed && r.flight != nullptr) {
     for (const Member& m : table.members()) {
       r.flight->record(TraceEventType::kClusterMember, now_us, kNoObject, 0,
                        static_cast<std::int64_t>(m.site), m.status);
@@ -302,18 +308,37 @@ void Node::on_gossip(Reactor& r, SiteId from, std::uint64_t epoch,
   // Gossip drives the ring. When the serving set changed, purge the
   // learned paths and queued forwards of members that left (queueing more
   // at them only delays the client's retry), then install the new ring.
-  table.serving_members(r.scratch);
-  if (r.scratch == r.serving) return;
-  for (const std::uint32_t site : r.serving) {
-    if (site != r.site.value &&
-        std::find(r.scratch.begin(), r.scratch.end(), site) == r.scratch.end()) {
-      r.transport->purge_member(SiteId{site});
+  if (changed) {
+    table.serving_members(r.scratch);
+    if (r.scratch != r.serving) {
+      for (const std::uint32_t site : r.serving) {
+        if (site != r.site.value && std::find(r.scratch.begin(), r.scratch.end(),
+                                              site) == r.scratch.end()) {
+          r.transport->purge_member(SiteId{site});
+        }
+      }
+      r.serving.swap(r.scratch);
+      // The membership epoch versioned the change and normally dominates,
+      // but an adopted kRingUpdate hint may have pushed the ring ahead.
+      install_ring(r, std::max(table.epoch(), r.ring_epoch + 1));
+      return;
     }
   }
-  r.serving.swap(r.scratch);
-  // The membership epoch versioned the change and normally dominates, but
-  // an adopted kRingUpdate hint may have pushed the ring ahead of it.
-  install_ring(r, std::max(table.epoch(), r.ring_epoch + 1));
+  // Our serving set stands. Survivors of one change can capture different
+  // membership epochs for it, so a sender that labels this same set with a
+  // newer ring epoch wins: forwards between the two then carry one epoch
+  // instead of bouncing kRingUpdates. Ownership is unchanged, so this is
+  // not a rebalance.
+  if (ring_epoch <= r.ring_epoch) return;
+  r.scratch.clear();
+  for (const wire::MemberEntry& m : members) {
+    if (m.status < MembershipTable::kDead) r.scratch.push_back(m.site);
+  }
+  std::sort(r.scratch.begin(), r.scratch.end());
+  if (r.scratch != r.serving) return;
+  r.ring_epoch = ring_epoch;
+  r.transport->set_ring(ring_epoch, r.serving);
+  r.board->set(StatKey::kClusterRingEpoch, static_cast<std::int64_t>(ring_epoch));
 }
 
 void Node::install_ring(Reactor& r, std::uint64_t epoch) {

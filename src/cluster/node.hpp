@@ -14,7 +14,9 @@
 // self-healing state machine of DESIGN §14 on its own loop thread:
 //   - rebalance: a gossip change of the serving set rebuilds the rings,
 //     bumps the ring epoch and purges members that left; a bounced stale
-//     forward's kRingUpdate hint adopts a newer ring directly;
+//     forward's kRingUpdate hint adopts a newer ring directly, and a
+//     digest labelling our own serving set with a newer ring epoch adopts
+//     that epoch (no rebalance);
 //   - warm-up (warm_up): the server starts WARMING, forwards cold reads to
 //     the previous owner and pulls its slice from every peer over
 //     kSliceSync, then prints "WARMED <site> synced|timeout" on stdout.
@@ -69,7 +71,7 @@ class Node {
  public:
   /// Builds every reactor, replays the WALs and binds the port; nothing
   /// runs until start(). Null, with `error` set, when a WAL cannot be
-  /// opened. `config` must validate().
+  /// opened or the port cannot be bound. `config` must validate().
   static std::unique_ptr<Node> create(const NodeConfig& config,
                                       std::string* error);
   ~Node();
@@ -123,7 +125,7 @@ class Node {
     HashRing ring;                       // ownership among serving members
     HashRing donor_ring;                 // serving \ {self}: warm-up donors
     std::vector<std::uint32_t> serving;  // sorted serving member sites
-    std::vector<std::uint32_t> scratch;  // serving_members() buffer
+    std::vector<std::uint32_t> scratch;  // serving-set buffer for gossip
     std::uint64_t ring_epoch = 0;        // 0 = configured baseline ring
     std::uint64_t rebalances = 0;
     std::vector<WarmPeer> warm_peers;
@@ -135,6 +137,7 @@ class Node {
   void enable_cluster(Reactor& r);
   void enable_warm_up(Reactor& r);
   void on_gossip(Reactor& r, SiteId from, std::uint64_t epoch,
+                 std::uint64_t ring_epoch,
                  std::span<const wire::MemberEntry> members);
   void install_ring(Reactor& r, std::uint64_t epoch);
   void warm_send(Reactor& r, WarmPeer& p);

@@ -44,9 +44,14 @@ void Connection::update_interest() {
   if (closed()) return;
   std::uint32_t want = 0;
   if (!connecting_ && !reading_paused_) want |= EPOLLIN;
-  if (connecting_ || pending_write_bytes() > 0) want |= EPOLLOUT;
+  // Queued bytes alone never arm EPOLLOUT: every path that queues them
+  // either flushes at once or has a flush armed (the tick-end hook), and a
+  // flush leaves the queue empty unless the socket said EAGAIN. So a
+  // request/reply tick costs no epoll_ctl; only a full socket does.
+  if (connecting_ || write_blocked_) want |= EPOLLOUT;
   if (want != interest_) {
     interest_ = want;
+    ++stats_.interest_changes;
     loop_.modify_fd(fd_, want);
   }
 }
@@ -166,6 +171,9 @@ void Connection::flush() {
     close("write error");
     return;
   }
+  // The loop ends with the queue drained or the socket full (EAGAIN); only
+  // the latter needs EPOLLOUT to finish the job.
+  write_blocked_ = !out_.empty();
   if (reading_paused_ && pending_write_bytes() < kLowWatermark) {
     reading_paused_ = false;
   }

@@ -8,13 +8,14 @@
 // encoded frames to the send queue; by default every send flushes
 // immediately, but an owner that installs a flush scheduler coalesces all
 // frames queued during one loop tick into a single writev() (see
-// TcpTransport's tick-end hook). An owner-installed send barrier runs
-// before every flush that moves bytes, whichever path triggers it (tick
-// end, the bypass flush, EPOLLOUT); timedc-server commits its write-ahead
-// log there. Backpressure is per connection: when the unsent output
-// exceeds the high watermark the connection stops reading (no new requests
-// are accepted from a peer we cannot answer) until the queue drains below
-// the low watermark.
+// TcpTransport's tick-end hook). EPOLLOUT is armed only while a connect is
+// pending or after a flush hit EAGAIN, never for bytes a flush already
+// armed will send. An owner-installed send barrier runs before every flush
+// that moves bytes, whichever path triggers it (tick end, the bypass flush,
+// EPOLLOUT); timedc-server commits its write-ahead log there. Backpressure
+// is per connection: when the unsent output exceeds the high watermark the
+// connection stops reading (no new requests are accepted from a peer we
+// cannot answer) until the queue drains below the low watermark.
 //
 // All methods are loop-thread only. A Connection never deletes itself; the
 // owner (TcpTransport) decides its lifetime from the close callback.
@@ -38,6 +39,10 @@ struct ConnectionStats {
   /// writev()/send() calls that moved at least one byte: frames_sent /
   /// flush_syscalls is the coalescing factor the batching layer achieves.
   std::uint64_t flush_syscalls = 0;
+  /// epoll_ctl(MOD) calls since start(): EPOLLOUT toggles after EAGAIN,
+  /// backpressure pauses and a completed connect. Request/reply traffic
+  /// that never fills the socket makes none.
+  std::uint64_t interest_changes = 0;
 };
 
 class Connection {
@@ -176,6 +181,9 @@ class Connection {
   bool released_ = false;
   bool reading_paused_ = false;
   bool flush_armed_ = false;  // scheduler notified, flush_batched() pending
+  /// The last flush hit EAGAIN with bytes still queued: EPOLLOUT stays
+  /// armed until a flush drains the queue.
+  bool write_blocked_ = false;
   std::uint32_t interest_ = 0;
 
   /// Read buffer: bytes [0, rlen_) are received, [rlen_, size()) is spare

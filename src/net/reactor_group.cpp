@@ -63,10 +63,10 @@ std::uint16_t ReactorGroup::listen_shared(std::uint16_t port) {
   TIMEDC_ASSERT(!started_);
   const bool reuse_port = reactors_.size() > 1;
   port_ = reactors_[0]->transport->listen(port, reuse_port);
-  for (std::size_t i = 1; i < reactors_.size(); ++i) {
-    const std::uint16_t p =
-        reactors_[i]->transport->listen(port_, /*reuse_port=*/true);
-    TIMEDC_ASSERT(p == port_);
+  for (std::size_t i = 1; i < reactors_.size() && port_ != 0; ++i) {
+    if (reactors_[i]->transport->listen(port_, /*reuse_port=*/true) == 0) {
+      port_ = 0;
+    }
   }
   return port_;
 }

@@ -47,8 +47,8 @@ class ReactorGroup {
 
   /// Bind every reactor to the same 127.0.0.1:`port`, with SO_REUSEPORT
   /// when there is more than one (port 0: the first reactor picks an
-  /// ephemeral port and the rest join it). Returns the port. Call before
-  /// start().
+  /// ephemeral port and the rest join it). Returns the port, or 0 with
+  /// errno set when a reactor cannot bind it. Call before start().
   std::uint16_t listen_shared(std::uint16_t port);
 
   /// Launch one thread per reactor running its loop. `on_thread_start`, if

@@ -84,10 +84,14 @@ std::uint16_t TcpTransport::listen(std::uint16_t port, bool reuse_port) {
     setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
   }
   sockaddr_in addr = loopback_addr("127.0.0.1", port);
-  int rc = ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  TIMEDC_ASSERT(rc == 0 && "bind failed");
-  rc = ::listen(listen_fd_, 128);
-  TIMEDC_ASSERT(rc == 0);
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(listen_fd_, 128) != 0) {
+    const int err = errno;
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    errno = err;
+    return 0;
+  }
   socklen_t len = sizeof(addr);
   getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   listen_port_ = ntohs(addr.sin_port);

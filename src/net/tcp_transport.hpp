@@ -166,9 +166,11 @@ class TcpTransport final : public Transport {
   ~TcpTransport() override;
 
   /// Bind + listen on 127.0.0.1:`port` (0 picks an ephemeral port).
-  /// Returns the bound port. With `reuse_port`, the socket is bound with
-  /// SO_REUSEPORT so N reactors can share one port and the kernel shards
-  /// accepts across them (the ReactorGroup's accept model).
+  /// Returns the bound port, or 0 with errno set when the port cannot be
+  /// bound (e.g. EADDRINUSE); listen() may then be called again. With
+  /// `reuse_port`, the socket is bound with SO_REUSEPORT so N reactors can
+  /// share one port and the kernel shards accepts across them (the
+  /// ReactorGroup's accept model).
   std::uint16_t listen(std::uint16_t port, bool reuse_port = false);
 
   /// Object-hash connection steering. When set, the first *protocol* frame

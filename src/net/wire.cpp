@@ -1,6 +1,7 @@
 #include "net/wire.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/assert.hpp"
@@ -10,22 +11,22 @@ namespace {
 
 // --- encoding ---------------------------------------------------------------
 
+/// Stores fixed-width little-endian fields through a cursor over bytes
+/// begin_frame has already sized into the output, one store per field.
+/// The destructor asserts the stores filled those bytes exactly: a body
+/// size that disagrees with the fields written is a codec bug.
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+  Writer(std::uint8_t* at, std::uint8_t* end) : at_(at), end_(end) {}
+  ~Writer() { TIMEDC_ASSERT(at_ == end_ && "frame size disagrees with body"); }
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void u8(std::uint8_t v) { *at_++ = v; }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v)); }
   void time(SimTime t) { i64(t.as_micros()); }
   void timestamp(const PlausibleTimestamp& ts) {
     TIMEDC_ASSERT(ts.num_entries() <= kMaxClockEntries);
@@ -45,7 +46,20 @@ class Writer {
   }
 
  private:
-  std::vector<std::uint8_t>& out_;
+  template <typename T>
+  void put(T v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(at_, &v, sizeof v);
+    } else {
+      for (std::size_t i = 0; i < sizeof v; ++i) {
+        at_[i] = static_cast<std::uint8_t>(v >> (8 * i));
+      }
+    }
+    at_ += sizeof v;
+  }
+
+  std::uint8_t* at_;
+  std::uint8_t* end_;
 };
 
 std::size_t timestamp_size(const PlausibleTimestamp& ts) {
@@ -253,20 +267,33 @@ void grow_for_append(std::vector<std::uint8_t>& out, std::size_t extra) {
   if (need > out.capacity()) out.reserve(std::max(need, out.capacity() * 2));
 }
 
-/// Append the 16-byte header of a frame with a `body`-byte body onto `out`,
-/// with room reserved for the body, and return the Writer for the body.
+/// Append the 16-byte header of a frame with a `body`-byte body onto `out`
+/// and return the Writer for the first `sized` body bytes. `out` grows
+/// once, with room for the whole frame, and is sized for the header plus
+/// those bytes. Only a kForward sizes less than its body: it appends the
+/// wrapped frame after its prefix.
+Writer begin_frame(MsgType type, SiteId from, SiteId to, std::size_t body,
+                   std::size_t sized, std::vector<std::uint8_t>& out) {
+  TIMEDC_ASSERT(body <= kMaxBodyBytes && sized <= body);
+  grow_for_append(out, kHeaderBytes + body);
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderBytes + sized);
+  std::uint8_t* const header = out.data() + at;
+  {
+    Writer w(header, header + kHeaderBytes);
+    w.u16(kMagic);
+    w.u8(kVersion);
+    w.u8(static_cast<std::uint8_t>(type));
+    w.u32(from.value);
+    w.u32(to.value);
+    w.u32(static_cast<std::uint32_t>(body));
+  }
+  return Writer(header + kHeaderBytes, out.data() + out.size());
+}
+
 Writer begin_frame(MsgType type, SiteId from, SiteId to, std::size_t body,
                    std::vector<std::uint8_t>& out) {
-  TIMEDC_ASSERT(body <= kMaxBodyBytes);
-  grow_for_append(out, kHeaderBytes + body);
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u32(from.value);
-  w.u32(to.value);
-  w.u32(static_cast<std::uint32_t>(body));
-  return w;
+  return begin_frame(type, from, to, body, body, out);
 }
 
 // kForward body prefix: [flags+hops u8][ring_epoch u64]. Bit 7 of the
@@ -283,7 +310,8 @@ void begin_forward(SiteId from, SiteId to, std::uint8_t hops, bool serve_here,
                    std::vector<std::uint8_t>& out) {
   TIMEDC_ASSERT(hops <= kForwardHopsMask);
   Writer w = begin_frame(MsgType::kForward, from, to,
-                         kForwardPrefixBytes + inner_size, out);
+                         kForwardPrefixBytes + inner_size, kForwardPrefixBytes,
+                         out);
   w.u8(static_cast<std::uint8_t>((serve_here ? kForwardServeHereBit : 0) |
                                  hops));
   w.u64(ring_epoch);
@@ -314,9 +342,7 @@ void encode_frame(SiteId from, SiteId to, const Message& m,
                   std::vector<std::uint8_t>& out) {
   const TypeAndSize ts = type_and_size(m);
   Writer w = begin_frame(ts.type, from, to, ts.body, out);
-  const std::size_t body_start = out.size();
   encode_body(w, m);
-  TIMEDC_ASSERT(out.size() - body_start == ts.body);
 }
 
 void encode_heartbeat_frame(SiteId from, SiteId to, const Heartbeat& hb,

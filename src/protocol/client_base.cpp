@@ -108,7 +108,7 @@ void CacheClient::read(ObjectId object, ReadCallback done) {
   ++stats_.reads;
   pending_read_ = std::move(done);
   pending_op_object_ = object;
-  op_started_at_ = net_.now();
+  stamp_op_start();
   op_abandoned_ = false;
   ++op_seq_;
   trace(TraceEventType::kOpIssue, object, 0);
@@ -120,11 +120,18 @@ void CacheClient::write(ObjectId object, Value value, WriteCallback done) {
   ++stats_.writes;
   pending_write_ = std::move(done);
   pending_op_object_ = object;
-  op_started_at_ = net_.now();
+  stamp_op_start();
   op_abandoned_ = false;
   ++op_seq_;
   trace(TraceEventType::kOpIssue, object, 1);
   begin_write(object, value);
+}
+
+void CacheClient::stamp_op_start() {
+  // Only the op.reply/op.abandon trace events and the retry layer's
+  // unavailability ledger read the start; without them the clock read is
+  // waste on every op.
+  if (obs_ != nullptr || retry_.enabled()) op_started_at_ = net_.now();
 }
 
 void CacheClient::send_to_server(Message m, ObjectId object) {
@@ -238,20 +245,26 @@ Value CacheClient::degraded_read_value(ObjectId) const { return kInitialValue; }
 
 void CacheClient::finish_read(Value value) {
   TIMEDC_ASSERT(pending_read_);
-  trace(TraceEventType::kOpReply, pending_op_object_, 0,
-        (net_.now() - op_started_at_).as_micros());
+  const SimTime now = net_.now();
+  if (obs_ != nullptr) {
+    trace(TraceEventType::kOpReply, pending_op_object_, 0,
+          (now - op_started_at_).as_micros());
+  }
   ReadCallback cb = std::move(pending_read_);
   pending_read_ = nullptr;
-  cb(value, net_.now());
+  cb(value, now);
 }
 
 void CacheClient::finish_write() {
   TIMEDC_ASSERT(pending_write_);
-  trace(TraceEventType::kOpReply, pending_op_object_, 1,
-        (net_.now() - op_started_at_).as_micros());
+  const SimTime now = net_.now();
+  if (obs_ != nullptr) {
+    trace(TraceEventType::kOpReply, pending_op_object_, 1,
+          (now - op_started_at_).as_micros());
+  }
   WriteCallback cb = std::move(pending_write_);
   pending_write_ = nullptr;
-  cb(net_.now());
+  cb(now);
 }
 
 }  // namespace timedc

@@ -177,6 +177,8 @@ class CacheClient {
   };
 
   void on_network_message(const Message& message);
+  /// op_started_at_ = now, when a tracer or the retry layer will read it.
+  void stamp_op_start();
   void transmit();
   void arm_timeout();
   void on_rpc_timeout();
@@ -197,7 +199,7 @@ class CacheClient {
   Rng rpc_rng_{0};
   std::optional<InFlightRpc> rpc_;
   std::uint64_t next_request_id_ = 0;
-  SimTime op_started_at_ = SimTime::zero();
+  SimTime op_started_at_ = SimTime::zero();  // see stamp_op_start()
   bool op_abandoned_ = false;
 };
 

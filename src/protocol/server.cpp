@@ -147,6 +147,12 @@ void ObjectServer::begin_drain() {
   }
 }
 
+std::size_t ObjectServer::cacher_entries() const {
+  std::size_t n = 0;
+  for (const auto& [object, s] : objects_) n += s.cachers.size();
+  return n;
+}
+
 ObjectServer::Stored& ObjectServer::stored(ObjectId object) {
   return objects_.try_emplace(object).first->second;
 }
@@ -232,8 +238,9 @@ bool ObjectServer::serve_from_replica(const FetchRequest& req) {
   if (it == replicas_.end()) return false;
   const Replica& r = it->second;
   if (r.old || r.copy.version == 0) return false;
+  const SimTime now = net_.now();
   if (config_.replica_ttl > SimTime::zero() &&
-      net_.now() > r.installed_at + config_.replica_ttl) {
+      now > r.installed_at + config_.replica_ttl) {
     return false;
   }
   ++stats_.replica_hits;
@@ -242,15 +249,15 @@ bool ObjectServer::serve_from_replica(const FetchRequest& req) {
   // here (or marks the copy old), so an un-invalidated replica is the
   // owner's current value modulo one in-flight push — this server can
   // vouch for it "now" exactly as the owner would.
-  copy.omega = net_.now();
-  copy.beta = net_.now();
+  copy.omega = now;
+  copy.beta = now;
   if (stats_board_ != nullptr) {
     ++reads_served_;
     stats_board_->set(StatKey::kReadsServed,
                       static_cast<std::int64_t>(reads_served_));
     stats_board_->set(StatKey::kClusterReplicaHits,
                       static_cast<std::int64_t>(stats_.replica_hits));
-    const std::int64_t staleness_us = (net_.now() - copy.alpha).as_micros();
+    const std::int64_t staleness_us = (now - copy.alpha).as_micros();
     stats_board_->record_staleness(staleness_us);
   }
   send(req.reply_to, Message{FetchReply{copy, req.request_id}});
@@ -307,7 +314,7 @@ void ObjectServer::register_server_cacher(ObjectId object, SiteId cacher,
 }
 
 void ObjectServer::push_server_cachers(const WriteRequest& req,
-                                       const Stored& s) {
+                                       const Stored& s, SimTime now) {
   const auto sc = server_cachers_.find(req.object);
   if (sc == server_cachers_.end()) return;
   for (const auto& [site, mode] : sc->second) {
@@ -315,13 +322,13 @@ void ObjectServer::push_server_cachers(const WriteRequest& req,
     trace(TraceEventType::kClusterPush, req.object, req.request_id, site,
           mode);
     if (flight_ != nullptr) {
-      flight_->record(TraceEventType::kClusterPush, net_.now().as_micros(),
+      flight_->record(TraceEventType::kClusterPush, now.as_micros(),
                       req.object, req.request_id, site, mode);
     }
     if (mode == 0) {
       send(SiteId{site}, Message{Invalidate{req.object, s.version}});
     } else {
-      send(SiteId{site}, Message{PushUpdate{copy_of(req.object)}});
+      send(SiteId{site}, Message{PushUpdate{copy_of(req.object, s, now)}});
     }
   }
   if (stats_board_ != nullptr) {
@@ -331,12 +338,12 @@ void ObjectServer::push_server_cachers(const WriteRequest& req,
 }
 
 SimTime ObjectServer::lease_horizon(Stored& s, ObjectId object,
-                                    SiteId writer) {
+                                    SiteId writer, SimTime now) {
   SimTime horizon = SimTime::zero();
   for (auto it = s.leases.begin(); it != s.leases.end();) {
-    if (it->second <= net_.now()) {
+    if (it->second <= now) {
       trace(TraceEventType::kLeaseExpire, object, 0, it->first,
-            (net_.now() - it->second).as_micros());
+            (now - it->second).as_micros());
       it = s.leases.erase(it);
       continue;
     }
@@ -346,21 +353,21 @@ SimTime ObjectServer::lease_horizon(Stored& s, ObjectId object,
   return horizon;
 }
 
-SimTime ObjectServer::grant_lease(Stored& s, ObjectId object, SiteId client) {
+SimTime ObjectServer::grant_lease(Stored& s, ObjectId object, SiteId client,
+                                  SimTime now) {
   if (config_.lease_duration == SimTime::zero() || s.write_pending ||
       draining_) {
     // A draining server makes no promises it cannot keep past shutdown.
     return SimTime::zero();
   }
-  s.leases[client.value] = net_.now() + config_.lease_duration;
+  s.leases[client.value] = now + config_.lease_duration;
   trace(TraceEventType::kLeaseGrant, object, 0, client.value,
         config_.lease_duration.as_micros());
   return config_.lease_duration;
 }
 
-ObjectCopy ObjectServer::copy_of(ObjectId object,
-                                 SimTime lease_extension) const {
-  const Stored& s = const_cast<ObjectServer*>(this)->stored(object);
+ObjectCopy ObjectServer::copy_of(ObjectId object, const Stored& s,
+                                 SimTime now, SimTime lease_extension) const {
   ObjectCopy copy;
   copy.object = object;
   copy.value = s.value;
@@ -369,8 +376,8 @@ ObjectCopy ObjectServer::copy_of(ObjectId object,
   // The server's current value is valid right now — and, when the caller
   // holds a lease, until the lease expires (writes are deferred past it).
   // beta is the instant the server vouched.
-  copy.omega = net_.now() + lease_extension;
-  copy.beta = net_.now();
+  copy.omega = now + lease_extension;
+  copy.beta = now;
   copy.alpha_l = s.alpha_l;
   copy.omega_l = logical_now_;
   return copy;
@@ -378,9 +385,10 @@ ObjectCopy ObjectServer::copy_of(ObjectId object,
 
 void ObjectServer::handle_fetch(const FetchRequest& req) {
   ++stats_.fetches;
+  const SimTime now = net_.now();
   Stored& s = stored(req.object);
-  s.cachers.insert(req.reply_to.value);
-  const SimTime granted = grant_lease(s, req.object, req.reply_to);
+  if (push_ != PushPolicy::kNone) s.cachers.insert(req.reply_to.value);
+  const SimTime granted = grant_lease(s, req.object, req.reply_to, now);
   if (stats_board_ != nullptr) {
     // Definition-1 staleness of the copy this read observes: how old its
     // start time alpha is at serving time. A never-written object (alpha 0)
@@ -389,18 +397,18 @@ void ObjectServer::handle_fetch(const FetchRequest& req) {
     stats_board_->set(StatKey::kReadsServed,
                       static_cast<std::int64_t>(reads_served_));
     if (s.version > 0) {
-      const std::int64_t staleness_us = (net_.now() - s.alpha).as_micros();
+      const std::int64_t staleness_us = (now - s.alpha).as_micros();
       stats_board_->record_staleness(staleness_us);
       if (flight_ != nullptr &&
           (reads_served_ % kStalenessSamplePeriod) == 0) {
-        flight_->record(TraceEventType::kReadStaleness,
-                        net_.now().as_micros(), req.object, req.request_id,
-                        /*a=*/0, staleness_us);
+        flight_->record(TraceEventType::kReadStaleness, now.as_micros(),
+                        req.object, req.request_id, /*a=*/0, staleness_us);
       }
     }
   }
   send(req.reply_to,
-       Message{FetchReply{copy_of(req.object, granted), req.request_id}});
+       Message{FetchReply{copy_of(req.object, s, now, granted),
+                          req.request_id}});
 }
 
 void ObjectServer::handle_write(const WriteRequest& req) {
@@ -582,21 +590,22 @@ bool ObjectServer::install_sync_record(const wire::SliceRecord& rec) {
 }
 
 void ObjectServer::defer_or_apply(const WriteRequest& req) {
+  const SimTime now = net_.now();
   Stored& s = stored(req.object);
   // Gray-Cheriton: while another client holds a live lease on this object,
   // the write waits — readers were promised the current value until their
   // lease expires. The writer's own lease never blocks it. After a restart
   // the grace window stands in for every forgotten lease.
   const SimTime horizon =
-      max(lease_horizon(s, req.object, req.reply_to), lease_grace_until_);
-  if (horizon > net_.now()) {
+      max(lease_horizon(s, req.object, req.reply_to, now), lease_grace_until_);
+  if (horizon > now) {
     ++stats_.writes_deferred;
     trace(TraceEventType::kWriteDefer, req.object, req.request_id,
-          req.reply_to.value, (horizon - net_.now()).as_micros());
+          req.reply_to.value, (horizon - now).as_micros());
     s.write_pending = true;  // freeze lease grants until this write lands
     const WriteRequest deferred = req;
     const std::uint64_t epoch = epoch_;
-    net_.run_after(horizon - net_.now(), [this, deferred, epoch] {
+    net_.run_after(horizon - now, [this, deferred, epoch] {
       // The deferral was soft state: a crash in the meantime voids it.
       if (epoch != epoch_ || !up_) return;
       defer_or_apply(deferred);
@@ -604,12 +613,12 @@ void ObjectServer::defer_or_apply(const WriteRequest& req) {
     return;
   }
   s.write_pending = false;
-  apply_write(req);
+  apply_write(req, s, now);
 }
 
-void ObjectServer::apply_write(const WriteRequest& req) {
+void ObjectServer::apply_write(const WriteRequest& req, Stored& s,
+                               SimTime now) {
   const SiteId from = req.reply_to;
-  Stored& s = stored(req.object);
   // Last-writer-wins on the start time alpha: a racing write whose
   // effective time is older than the stored value's never becomes current
   // (otherwise the object's value history would contradict the lifetime
@@ -617,7 +626,7 @@ void ObjectServer::apply_write(const WriteRequest& req) {
   // exact ties.
   if (s.version > 0 && req.client_time < s.alpha) {
     record_arrival(req.object,
-                   AppliedWrite{req.value, net_.now(), /*accepted=*/false});
+                   AppliedWrite{req.value, now, /*accepted=*/false});
     trace(TraceEventType::kWriteApply, req.object, req.request_id,
           req.value.value, 0);
     // Version 0 in the ack marks the write as superseded: the writer's
@@ -641,7 +650,7 @@ void ObjectServer::apply_write(const WriteRequest& req) {
                        ? req.write_ts
                        : PlausibleTimestamp::merge_max(logical_now_, req.write_ts);
   }
-  record_arrival(req.object, AppliedWrite{req.value, net_.now()});
+  record_arrival(req.object, AppliedWrite{req.value, now});
   trace(TraceEventType::kWriteApply, req.object, req.request_id,
         req.value.value, 1);
   const WriteAck ack{req.object, s.version, req.request_id};
@@ -652,7 +661,7 @@ void ObjectServer::apply_write(const WriteRequest& req) {
   // Peer-server cachers are pushed on every accepted write, independent of
   // the client push policy: the replica protocol is what lets them serve
   // fetches without a hop.
-  push_server_cachers(req, s);
+  push_server_cachers(req, s, now);
   if (push_ == PushPolicy::kNone) return;
   for (const std::uint32_t cacher : s.cachers) {
     if (cacher == from.value) continue;
@@ -662,7 +671,7 @@ void ObjectServer::apply_write(const WriteRequest& req) {
       send(SiteId{cacher}, Message{Invalidate{req.object, s.version}});
     } else {
       trace(TraceEventType::kPushUpdate, req.object, 0, cacher);
-      send(SiteId{cacher}, Message{PushUpdate{copy_of(req.object)}});
+      send(SiteId{cacher}, Message{PushUpdate{copy_of(req.object, s, now)}});
     }
   }
 }
@@ -681,13 +690,14 @@ void ObjectServer::record_completed(const WriteRequest& req,
 void ObjectServer::handle_validate(const ValidateRequest& req) {
   const SiteId from = req.reply_to;
   ++stats_.validations;
+  const SimTime now = net_.now();
   Stored& s = stored(req.object);
-  s.cachers.insert(from.value);
-  const SimTime granted = grant_lease(s, req.object, from);
+  if (push_ != PushPolicy::kNone) s.cachers.insert(from.value);
+  const SimTime granted = grant_lease(s, req.object, from, now);
   ValidateReply reply;
   reply.object = req.object;
   reply.still_valid = (s.version == req.version);
-  reply.copy = copy_of(req.object, granted);
+  reply.copy = copy_of(req.object, s, now, granted);
   reply.request_id = req.request_id;
   if (reply.still_valid) ++stats_.validations_ok;
   send(from, Message{reply});

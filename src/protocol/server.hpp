@@ -170,6 +170,9 @@ class ObjectServer {
 
   SiteId site() const { return self_; }
   const ServerStats& stats() const { return stats_; }
+  /// Client push subscriptions held: one per (object, client) in the
+  /// cachers sets. Always 0 under PushPolicy::kNone.
+  std::size_t cacher_entries() const;
 
   /// Emit lease/push/write/crash events to `tracer` (nullptr = off).
   void set_tracer(Tracer* tracer) { obs_ = tracer; }
@@ -289,7 +292,9 @@ class ObjectServer {
     std::uint64_t version = 0;
     SimTime alpha = SimTime::zero();
     PlausibleTimestamp alpha_l;
-    // Clients believed to cache this object (for push policies).
+    // Clients believed to cache this object. Only the push loop in
+    // apply_write reads it, so it is filled only under a push policy: a
+    // pure-pull server keeps no per-client state per object.
     std::unordered_set<std::uint32_t> cachers;
     // Outstanding read leases: client -> expiry (leases mode only).
     std::unordered_map<std::uint32_t, SimTime> leases;
@@ -336,7 +341,8 @@ class ObjectServer {
   void handle_cluster_push_update(const PushUpdate& push);
   void handle_cluster_validate_reply(const ValidateReply& rep);
   /// Push an accepted write to every subscribed cacher server.
-  void push_server_cachers(const WriteRequest& req, const Stored& s);
+  void push_server_cachers(const WriteRequest& req, const Stored& s,
+                           SimTime now);
   /// The request_id == 0 gate for framed transports. True when rejected.
   bool reject_unsequenced(std::uint64_t request_id);
   void handle_fetch(const FetchRequest& req);
@@ -352,23 +358,27 @@ class ObjectServer {
   /// object through to its donor.
   bool forward_warm_miss(ObjectId object, const Message& m);
   /// Lease gate: defers past live leases and the post-restart grace window.
+  /// It reads the clock once; apply_write stamps the write with that `now`.
   void defer_or_apply(const WriteRequest& req);
-  void apply_write(const WriteRequest& req);
+  void apply_write(const WriteRequest& req, Stored& s, SimTime now);
   /// Log the applied write in the dedup slot so retransmissions re-ack.
   void record_completed(const WriteRequest& req, const WriteAck& ack);
   /// Latest lease expiry held by any client other than `writer` (zero when
-  /// none). Expired entries are pruned as a side effect.
-  SimTime lease_horizon(Stored& s, ObjectId object, SiteId writer);
+  /// none). Entries expired by `now` are pruned as a side effect.
+  SimTime lease_horizon(Stored& s, ObjectId object, SiteId writer,
+                        SimTime now);
   /// Returns the granted lease duration (zero when leases are disabled or
   /// a write is pending on the object).
-  SimTime grant_lease(Stored& s, ObjectId object, SiteId client);
+  SimTime grant_lease(Stored& s, ObjectId object, SiteId client, SimTime now);
   void trace(TraceEventType type, ObjectId object, std::uint64_t op = 0,
              std::int64_t a = 0, std::int64_t b = 0);
   /// True if the request was relayed to the owning server.
   bool forward_if_not_owner(ObjectId object, const Message& m);
-  /// `lease_extension` stretches omega past "now" — only for replies to
-  /// clients that were actually granted a lease (push copies get none).
-  ObjectCopy copy_of(ObjectId object, SimTime lease_extension = SimTime::zero()) const;
+  /// `s` as of `now` (the request's one clock read). `lease_extension`
+  /// stretches omega past now — only for replies to clients that were
+  /// actually granted a lease (push copies get none).
+  ObjectCopy copy_of(ObjectId object, const Stored& s, SimTime now,
+                     SimTime lease_extension = SimTime::zero()) const;
   void send(SiteId to, Message m);
   Stored& stored(ObjectId object);
   /// Append to history_ when ServerConfig::record_history asks for it.
@@ -388,7 +398,7 @@ class ObjectServer {
   std::uint64_t epoch_ = 0;
   SimTime lease_grace_until_ = SimTime::zero();
   std::unordered_map<std::uint32_t, WriteDedup> write_dedup_;
-  mutable std::unordered_map<ObjectId, Stored> objects_;
+  std::unordered_map<ObjectId, Stored> objects_;
   // The server's merged logical knowledge: max over all write timestamps it
   // has applied. Shipped as omega_l so a fresh copy never looks causally
   // stale to a client whose context grew only through this server.

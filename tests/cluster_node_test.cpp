@@ -1,9 +1,12 @@
 // Self-healing on real nodes (DESIGN §14), in one process: three --cluster
 // nodes (the timedc-server daemon) on loopback with WALs. Stopping one
-// must rebalance the ring onto the survivors through gossip alone, and
-// the ops on the stopped member's slice must complete there. Restarting it
-// on its port from the same WAL with warm-up on must pull back, over
-// kSliceSync, every value written while it was down.
+// must rebalance the ring onto the survivors through gossip alone, even
+// when it stops before any peer has heard from it, and the survivors must
+// settle on one ring epoch without a forward between them. The ops on the
+// stopped member's slice must complete there. Restarting it on its port
+// from the same WAL with warm-up on must pull back, over kSliceSync, every
+// value written while it was down. A node whose port is taken is an
+// error, not an abort.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
@@ -123,7 +126,6 @@ class ClusterNodeTest : public ::testing::Test {
     for (std::uint32_t i = 0; i < kMembers; ++i) ports_.push_back(free_port());
     nodes_.resize(kMembers);
     for (std::uint32_t i = 0; i < kMembers; ++i) start(i, /*warm_up=*/false);
-    wait_for_gossip();
   }
 
   void TearDown() override {
@@ -157,9 +159,7 @@ class ClusterNodeTest : public ::testing::Test {
   }
 
   /// Waits until every member has gossiped to every other: all routes
-  /// healthy, then three more digests out of each member per peer. A
-  /// member no peer ever heard from is never suspected, so stopping one
-  /// before its first digest lands would rebalance nothing.
+  /// healthy, then three more digests out of each member per peer.
   void wait_for_gossip() {
     ASSERT_TRUE(eventually([&] {
       for (std::uint32_t i = 0; i < kMembers; ++i) {
@@ -195,6 +195,34 @@ class ClusterNodeTest : public ::testing::Test {
     return nodes_[i]->board(0).get(key);
   }
 
+  net::TcpTransportStats transport_stats(std::uint32_t i) {
+    return on_loop(nodes_[i]->loop(0),
+                   [&] { return nodes_[i]->transport(0).stats(); });
+  }
+
+  /// Stops C, then waits until A and B have both rebalanced onto the
+  /// ring over {A, B}.
+  void stop_c_and_expect_rebalance() {
+    nodes_[kC].reset();
+    ASSERT_TRUE(eventually([&] {
+      return stat(0, StatKey::kClusterRebalances) >= 1 &&
+             stat(1, StatKey::kClusterRebalances) >= 1;
+    })) << "A and B never rebalanced after C stopped";
+    const cluster::HashRing survivors = ring_of({SiteId{0}, SiteId{1}});
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      const bool on_survivors = on_loop(nodes_[i]->loop(0), [&] {
+        for (std::uint32_t o = 0; o < 256; ++o) {
+          if (nodes_[i]->server(0).primary_of(ObjectId{o}) !=
+              survivors.owner_of(ObjectId{o})) {
+            return false;
+          }
+        }
+        return true;
+      });
+      EXPECT_TRUE(on_survivors) << "member " << i << " does not serve {A, B}";
+    }
+  }
+
   std::string dir_;
   std::vector<std::uint16_t> ports_;
   std::vector<std::unique_ptr<cluster::Node>> nodes_;
@@ -215,6 +243,7 @@ TEST_F(ClusterNodeTest, StoppedMemberIsRebalancedAwayAndWarmsBackOnRestart) {
     c_slice += full.owner_of(ObjectId{o}) == SiteId{kC} ? 1 : 0;
   }
   ASSERT_GT(c_slice, 0u);
+  ASSERT_NO_FATAL_FAILURE(wait_for_gossip());
 
   // All three serving: owner-aware writes over every slice.
   run_ops(ports_, 100, [&](ObjectId o) { return full.owner_of(o); }, writes);
@@ -224,42 +253,34 @@ TEST_F(ClusterNodeTest, StoppedMemberIsRebalancedAwayAndWarmsBackOnRestart) {
 
   // Stop C. Gossip alone must move its slice onto A and B: both install
   // the ring over {A, B}.
-  nodes_[kC].reset();
-  ASSERT_TRUE(eventually([&] {
-    return stat(0, StatKey::kClusterRebalances) >= 1 &&
-           stat(1, StatKey::kClusterRebalances) >= 1;
-  })) << "A and B never rebalanced after C stopped";
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    const bool on_survivors = on_loop(nodes_[i]->loop(0), [&] {
-      for (std::uint32_t o = 0; o < 256; ++o) {
-        if (nodes_[i]->server(0).primary_of(ObjectId{o}) !=
-            survivors.owner_of(ObjectId{o})) {
-          return false;
-        }
-      }
-      return true;
-    });
-    EXPECT_TRUE(on_survivors) << "member " << i << " does not serve {A, B}";
-  }
+  ASSERT_NO_FATAL_FAILURE(stop_c_and_expect_rebalance());
 
-  // C down: rewrite every object, C's former slice included, on the
-  // survivors' ring, sending every other op to the wrong survivor. Every
-  // op must complete. Each forward between A and B carries the sender's
-  // ring epoch, and the two may have captured different membership epochs
-  // for the same change: the higher bounces a kRingUpdate to the lower,
-  // which adopts it, so both end on one epoch past the baseline.
-  run_ops(ports_, 200,
-          [&](ObjectId o) {
-            const SiteId owner = survivors.owner_of(o);
-            return o.value % 2 == 0 ? owner : SiteId{1 - owner.value};
-          },
-          rewrites);
+  // The two may have captured different membership epochs for the same
+  // change, hence different ring epochs. Gossip settles them on the newer
+  // one before any forward between them could bounce a kRingUpdate.
   ASSERT_TRUE(eventually([&] {
     return stat(0, StatKey::kClusterRingEpoch) ==
            stat(1, StatKey::kClusterRingEpoch);
   })) << "ring epochs " << stat(0, StatKey::kClusterRingEpoch) << " and "
       << stat(1, StatKey::kClusterRingEpoch);
   EXPECT_GT(stat(0, StatKey::kClusterRingEpoch), 0);
+  EXPECT_EQ(transport_stats(0).stale_forwards, 0u);
+  EXPECT_EQ(transport_stats(1).stale_forwards, 0u);
+
+  // C down: rewrite every object, C's former slice included, on the
+  // survivors' ring, sending every other op to the wrong survivor. Every
+  // op must complete, and as both forward under one ring epoch, none of
+  // the forwards between them is stale.
+  run_ops(ports_, 200,
+          [&](ObjectId o) {
+            const SiteId owner = survivors.owner_of(o);
+            return o.value % 2 == 0 ? owner : SiteId{1 - owner.value};
+          },
+          rewrites);
+  EXPECT_GT(transport_stats(0).forwards_out + transport_stats(1).forwards_out,
+            0u);
+  EXPECT_EQ(transport_stats(0).stale_forwards, 0u);
+  EXPECT_EQ(transport_stats(1).stale_forwards, 0u);
 
   // Restart C on its port from its WAL, warming up: it replays its own
   // writes, pulls its slice back from A and B, and then serves every
@@ -278,6 +299,27 @@ TEST_F(ClusterNodeTest, StoppedMemberIsRebalancedAwayAndWarmsBackOnRestart) {
   for (std::uint32_t o = 0; o < kObjects; ++o) {
     EXPECT_EQ(got[o].value, 2000 + o) << "object " << o;
   }
+}
+
+TEST_F(ClusterNodeTest, MemberStoppedBeforeItsFirstDigestIsRebalancedAway) {
+  // C stops about 20 ms after start, likely before any digest of its own
+  // reached A or B. Its silence still counts from their start, so they
+  // suspect it, declare it dead and take its slice.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_NO_FATAL_FAILURE(stop_c_and_expect_rebalance());
+}
+
+TEST(ClusterNode, PortInUseIsAnError) {
+  net::EventLoop loop;
+  net::TcpTransport holder(loop);
+  const std::uint16_t port = holder.listen(0);
+  ASSERT_NE(port, 0);
+  cluster::NodeConfig config;
+  config.port = port;
+  std::string error;
+  EXPECT_EQ(cluster::Node::create(config, &error), nullptr);
+  EXPECT_EQ(error, "cannot listen on port " + std::to_string(port) +
+                       ": Address already in use");
 }
 
 }  // namespace

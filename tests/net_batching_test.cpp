@@ -16,6 +16,9 @@
 //    bytes, on each path that flushes — the tick-end flush, the 256 KiB
 //    bypass inside a send, and an EPOLLOUT flush after EAGAIN — so a
 //    write-ahead log committed there is in the kernel before any reply.
+// 5. Interest: request/reply traffic through a batched connection never
+//    calls epoll_ctl; only a flush that hits EAGAIN arms EPOLLOUT, and the
+//    flush that drains the queue disarms it.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -50,6 +53,16 @@ auto on_loop(net::EventLoop& loop, F fn) -> decltype(fn()) {
   auto fut = result.get_future();
   loop.post([&] { result.set_value(fn()); });
   return fut.get();
+}
+
+/// Polls `pred` on the loop thread every millisecond for up to 5 s.
+template <typename F>
+bool eventually_on(net::EventLoop& loop, F pred) {
+  for (int i = 0; i < 5000; ++i) {
+    if (on_loop(loop, pred)) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
 }
 
 Message test_message(Rng& rng, std::uint64_t seq) {
@@ -458,6 +471,118 @@ TEST(ReactorSharding, EchoBurstsAreOrderedAndByteIdenticalAt1_2_8Reactors) {
     EXPECT_LT(syscalls, frames) << reactors << " reactors";
     group.stop();
   }
+}
+
+/// Writes all of `bytes` to the non-blocking `fd`, waiting out EAGAIN.
+void write_all(int fd, const std::vector<std::uint8_t>& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + sent, bytes.size() - sent);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+    } else {
+      ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EINTR));
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+}
+
+/// Reads exactly `n` bytes from the non-blocking `fd`, waiting out EAGAIN.
+std::vector<std::uint8_t> read_exactly(int fd, std::size_t n) {
+  std::vector<std::uint8_t> got(n);
+  std::size_t have = 0;
+  while (have < n) {
+    const ssize_t r = ::read(fd, got.data() + have, n - have);
+    if (r > 0) {
+      have += static_cast<std::size_t>(r);
+    } else {
+      EXPECT_TRUE(r < 0 && (errno == EAGAIN || errno == EINTR));
+      if (r == 0) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+  return got;
+}
+
+TEST(BatchedFlush, RequestReplyMakesNoEpollCtlAndEagainArmsEpolloutOnce) {
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv), 0);
+  net::EventLoop loop;
+  std::thread loop_thread([&] { loop.run(); });
+
+  // sv[0] is a server connection batched as TcpTransport batches: replies
+  // enqueue and a tick-end hook flushes every connection that queued any.
+  // It echoes each request frame back; sv[1] is the client.
+  std::vector<net::Connection*> dirty;
+  std::unique_ptr<net::Connection> conn;
+  on_loop(loop, [&] {
+    loop.add_tick_end_hook([&dirty] {
+      for (net::Connection* c : dirty) c->flush_batched();
+      dirty.clear();
+    });
+    conn = std::make_unique<net::Connection>(loop, sv[0], false);
+    conn->start(
+        [](net::Connection& c, const wire::FrameView& v) {
+          c.send_raw_frame(wire::frame_bytes(v));
+        },
+        [](net::Connection&, const char*) {});
+    conn->set_flush_scheduler(
+        [&dirty](net::Connection& c) { dirty.push_back(&c); });
+    return true;
+  });
+  const auto requests = [](int first, int count) {
+    std::vector<std::uint8_t> bytes;
+    for (int i = first; i < first + count; ++i) {
+      wire::encode_frame(SiteId{1}, SiteId{2},
+                         Message{FetchRequest{
+                             ObjectId{static_cast<std::uint32_t>(i)},
+                             SiteId{1}, static_cast<std::uint64_t>(i + 1)}},
+                         bytes);
+    }
+    return bytes;
+  };
+
+  // 1. Rounds of a few pipelined requests, each answered before the next
+  // round: the socket never fills, so the interest set never changes.
+  constexpr int kRounds = 500;
+  constexpr int kPipelined = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::vector<std::uint8_t> batch =
+        requests(round * kPipelined, kPipelined);
+    write_all(sv[1], batch);
+    ASSERT_TRUE(read_exactly(sv[1], batch.size()) == batch)
+        << "round " << round;
+  }
+  const net::ConnectionStats quiet =
+      on_loop(loop, [&] { return conn->stats(); });
+  EXPECT_EQ(quiet.frames_sent,
+            static_cast<std::uint64_t>(kRounds) * kPipelined);
+  EXPECT_EQ(quiet.interest_changes, 0u);
+
+  // 2. A burst whose replies outgrow the socket buffer while the client
+  // reads nothing: a flush hits EAGAIN and arms EPOLLOUT; once the client
+  // reads, EPOLLOUT flushes drain the queue and disarm it.
+  constexpr int kBurst = 20000;
+  const std::vector<std::uint8_t> burst = requests(0, kBurst);
+  write_all(sv[1], burst);
+  ASSERT_TRUE(eventually_on(loop, [&] {
+    return conn->stats().frames_decoded ==
+           quiet.frames_decoded + static_cast<std::uint64_t>(kBurst);
+  }));
+  EXPECT_GT(on_loop(loop, [&] { return conn->pending_write_bytes(); }), 0u)
+      << "the replies fit the socket buffer: no EAGAIN to test";
+  EXPECT_TRUE(read_exactly(sv[1], burst.size()) == burst);
+  ASSERT_TRUE(eventually_on(loop, [&] { return conn->pending_write_bytes() == 0; }));
+  EXPECT_GE(on_loop(loop, [&] { return conn->stats().interest_changes; }), 2u);
+
+  on_loop(loop, [&] {
+    conn->close("test done");
+    conn.reset();
+    return true;
+  });
+  loop.stop();
+  loop_thread.join();
+  close(sv[1]);
 }
 
 }  // namespace

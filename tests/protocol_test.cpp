@@ -168,6 +168,95 @@ TEST_F(SerialCacheFixture, PushUpdateRefreshesCache) {
   EXPECT_EQ(clients_[0]->stats().cache_hits, 1u);  // served locally
 }
 
+// A server remembers who caches an object only to push to them: under pure
+// pull it keeps no entry however many clients read, and under either push
+// policy a write reaches every cacher but the writer.
+TEST(ServerCachers, KeptOnlyUnderPushAndEveryCacherIsPushed) {
+  constexpr std::uint32_t kClients = 1000;
+  const SiteId server_site{kClients};
+  const ObjectId object{0};
+  for (const PushPolicy push :
+       {PushPolicy::kNone, PushPolicy::kInvalidate, PushPolicy::kUpdate}) {
+    Simulator sim;
+    Network net(sim, kClients + 1, std::make_unique<FixedLatency>(us(10)),
+                NetworkConfig{}, Rng(1));
+    ObjectServer server(sim, net, server_site, kClients + 1, push,
+                        MessageSizes{});
+    server.attach();
+    std::vector<int> invalidates(kClients);
+    std::vector<int> updates(kClients);
+    for (std::uint32_t c = 0; c < kClients; ++c) {
+      net.register_site(SiteId{c}, [&, c](SiteId, const Message& m) {
+        invalidates[c] += std::holds_alternative<Invalidate>(m) ? 1 : 0;
+        updates[c] += std::holds_alternative<PushUpdate>(m) ? 1 : 0;
+      });
+    }
+    // Every client site reads the object: half fetch, half validate.
+    for (std::uint32_t c = 0; c < kClients; ++c) {
+      const SiteId client{c};
+      if (c % 2 == 0) {
+        net.send_message(client, server_site,
+                         Message{FetchRequest{object, client}}, 0);
+      } else {
+        net.send_message(client, server_site,
+                         Message{ValidateRequest{object, 0, client}}, 0);
+      }
+    }
+    sim.run_until();
+    EXPECT_EQ(server.stats().fetches + server.stats().validations, kClients);
+    net.send_message(SiteId{0}, server_site,
+                     Message{WriteRequest{object, Value{7}, sim.now(),
+                                          PlausibleTimestamp{}, SiteId{0}}},
+                     0);
+    sim.run_until();
+    ASSERT_EQ(server.stats().writes_applied, 1u);
+    if (push == PushPolicy::kNone) {
+      EXPECT_EQ(server.cacher_entries(), 0u);
+      EXPECT_EQ(server.stats().pushes, 0u);
+    } else {
+      EXPECT_EQ(server.cacher_entries(), kClients);
+      EXPECT_EQ(server.stats().pushes, kClients - 1);
+    }
+    std::vector<int>& pushed =
+        push == PushPolicy::kInvalidate ? invalidates : updates;
+    const int expected = push == PushPolicy::kNone ? 0 : 1;
+    EXPECT_EQ(invalidates[0] + updates[0], 0) << "the writer was pushed";
+    for (std::uint32_t c = 1; c < kClients; ++c) {
+      ASSERT_EQ(pushed[c], expected) << "client " << c;
+      ASSERT_EQ(invalidates[c] + updates[c], expected) << "client " << c;
+    }
+  }
+}
+
+// The retry layer charges an abandoned op only its own wait, from issue to
+// abandonment: the client stamps the op's start for it even with no
+// tracer attached.
+TEST(ReliableRpc, AbandonedOpChargesOnlyItsOwnWait) {
+  Simulator sim;
+  Network net(sim, 3, std::make_unique<FixedLatency>(us(10)), NetworkConfig{},
+              Rng(1));
+  net.register_site(SiteId{2}, [](SiteId, const Message&) {});  // never answers
+  PerfectClock clock;
+  TimedSerialCache client(sim, net, SiteId{0}, SiteId{2}, &clock,
+                          SimTime::infinity(), /*mark_old=*/true,
+                          MessageSizes{});
+  client.attach();
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.base_timeout = ms(1);
+  policy.jitter = 0;
+  client.configure_reliability(policy, {}, /*rpc_seed=*/7);
+  sim.schedule_at(SimTime::seconds(1), [] {});
+  sim.run_until();
+  SimTime done_at = SimTime::zero();
+  client.read(ObjectId{0}, [&](Value, SimTime t) { done_at = t; });
+  sim.run_until();
+  ASSERT_TRUE(client.last_op_abandoned());
+  // Timeouts of 1, 2 and 4 ms: abandoned 7 ms after it was issued.
+  EXPECT_EQ(done_at, SimTime::seconds(1) + ms(7));
+  EXPECT_EQ(client.stats().unavailable_us, 7000u);
+}
+
 // --- The omega-ordered expiry index -----------------------------------------
 //
 // The one-way latency is a fixed 10us, so a fetch issued at t is served

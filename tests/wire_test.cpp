@@ -336,6 +336,46 @@ TEST(WireCodec, DecodesBackToBackFramesFromOneBuffer) {
   EXPECT_EQ(f1.consumed + f2.consumed, buf.size());
 }
 
+TEST(WireCodec, AppendedFramesEqualFreshEncodesAndKeepEarlierBytes) {
+  // Each encode sizes the buffer once and stores through a cursor, so a
+  // frame appended to a partly filled buffer, whether that buffer must
+  // grow or not, has to equal the same frame encoded alone and leave the
+  // bytes before it untouched. Forwards append their inner frame too.
+  Rng rng(53);
+  std::vector<std::uint8_t> buf;
+  std::vector<std::uint8_t> expected;
+  for (int iter = 0; iter < 600; ++iter) {
+    if (iter % 100 == 0) {
+      buf = {};  // restart from no capacity
+      expected.clear();
+    }
+    const Message m = random_message(rng, iter % kNumTypes);
+    const SiteId from = random_site(rng);
+    const SiteId to = random_site(rng);
+    std::vector<std::uint8_t> alone;
+    switch (iter % 3) {
+      case 0:
+        wire::encode_frame(from, to, m, alone);
+        wire::encode_frame(from, to, m, buf);
+        break;
+      case 1:
+        wire::encode_forward_frame(from, to, 1, false, 9, SiteId{5}, to, m,
+                                   alone);
+        wire::encode_forward_frame(from, to, 1, false, 9, SiteId{5}, to, m,
+                                   buf);
+        break;
+      default:
+        wire::encode_forward_frame_raw(from, to, 2, true, 4,
+                                       encode(SiteId{6}, to, m), alone);
+        wire::encode_forward_frame_raw(from, to, 2, true, 4,
+                                       encode(SiteId{6}, to, m), buf);
+        break;
+    }
+    expected.insert(expected.end(), alone.begin(), alone.end());
+    ASSERT_TRUE(buf == expected) << "frame " << iter;
+  }
+}
+
 TEST(WireCodec, EveryTruncationIsNeedMore) {
   Rng rng(11);
   for (int type = 0; type < kNumTypes; ++type) {
