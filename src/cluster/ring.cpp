@@ -1,6 +1,7 @@
 #include "cluster/ring.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.hpp"
 
@@ -67,15 +68,28 @@ void HashRing::rebuild() {
               if (a.hash != b.hash) return a.hash < b.hash;
               return a.site.value < b.site.value;
             });
+  // At least as many buckets as points (and two, so the shift stays < 64).
+  const std::size_t n = std::max<std::size_t>(points_.size(), 2);
+  const auto log2 = static_cast<unsigned>(std::bit_width(n - 1));
+  bucket_shift_ = 64 - log2;
+  bucket_start_.assign(std::size_t{1} << log2, 0);
+  std::uint32_t p = 0;
+  for (std::size_t b = 0; b < bucket_start_.size(); ++b) {
+    const std::uint64_t floor = static_cast<std::uint64_t>(b) << bucket_shift_;
+    while (p < points_.size() && points_[p].hash < floor) ++p;
+    bucket_start_[b] = p;
+  }
 }
 
 SiteId HashRing::owner_of(ObjectId object) const {
   TIMEDC_ASSERT(!points_.empty());
   const std::uint64_t h = ring_hash(object.value);
-  const auto it = std::lower_bound(
-      points_.begin(), points_.end(), h,
-      [](const Point& p, std::uint64_t key) { return p.hash < key; });
-  return it == points_.end() ? points_.front().site : it->site;
+  // The first point at or after h (std::lower_bound's answer) lies in h's
+  // bucket or is the first point of a later one: scan from the bucket's
+  // first point; past the last point, wrap to the first.
+  std::size_t i = bucket_start_[h >> bucket_shift_];
+  while (i < points_.size() && points_[i].hash < h) ++i;
+  return i == points_.size() ? points_.front().site : points_[i].site;
 }
 
 }  // namespace timedc::cluster

@@ -47,7 +47,8 @@ class HashRing {
   bool remove_member(SiteId site);
 
   /// The owning site for `object`: the first ring point at or clockwise
-  /// after hash(object). Ring must not be empty.
+  /// after hash(object). Ring must not be empty. O(1) expected: the bucket
+  /// of the hash's top bits names where the scan for that point starts.
   SiteId owner_of(ObjectId object) const;
 
  private:
@@ -60,6 +61,11 @@ class HashRing {
 
   std::vector<SiteId> members_;
   std::vector<Point> points_;  // sorted by hash
+  /// bucket_start_[b]: index of the first point whose hash is at least
+  /// b << bucket_shift_. At least as many buckets as points, so a bucket
+  /// holds about one point and owner_of scans about one.
+  std::vector<std::uint32_t> bucket_start_;
+  unsigned bucket_shift_ = 64;
   std::uint64_t epoch_ = 0;
 };
 

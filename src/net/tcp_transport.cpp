@@ -157,6 +157,7 @@ void TcpTransport::adopt_steered(int fd, std::vector<std::uint8_t> leftover) {
 void TcpTransport::add_route(SiteId site, std::string host,
                              std::uint16_t port) {
   routes_[site.value] = Route{std::move(host), port};
+  peer_conn_[site.value].routed = true;
 }
 
 void TcpTransport::set_supervision(SupervisionConfig config) {
@@ -180,15 +181,30 @@ SimTime TcpTransport::liveness_timeout() const {
 }
 
 ConnectionState TcpTransport::connection_state(SiteId site) const {
-  const auto it = peers_.find(site.value);
-  if (it == peers_.end()) return ConnectionState::kHealthy;
-  return it->second.state;
+  const Peer* peer = find_peer(site);
+  return peer == nullptr ? ConnectionState::kHealthy : peer->state;
+}
+
+TcpTransport::Peer* TcpTransport::find_peer(SiteId site) const {
+  const std::unique_ptr<Peer>* peer = peers_.find(site.value);
+  return peer == nullptr ? nullptr : peer->get();
+}
+
+std::pair<TcpTransport::Peer*, bool> TcpTransport::touch_peer(SiteId site) {
+  const auto [peer, created] = peers_.try_emplace(site.value);
+  if (created) *peer = std::make_unique<Peer>();
+  return {peer->get(), created};
+}
+
+TcpTransport::MessageHandler* TcpTransport::local_handler(SiteId site) const {
+  const std::unique_ptr<MessageHandler>* handler = handlers_.find(site.value);
+  return handler == nullptr ? nullptr : handler->get();
 }
 
 const TcpTransportStats& TcpTransport::stats() const {
   stats_.peers_by_state = {};
   for (const auto& [site, peer] : peers_) {
-    ++stats_.peers_by_state[static_cast<std::size_t>(peer.state)];
+    ++stats_.peers_by_state[static_cast<std::size_t>(peer->state)];
   }
   stats_.flush_syscalls = closed_flush_syscalls_;
   for (const auto& [raw, conn] : conns_) {
@@ -198,7 +214,11 @@ const TcpTransportStats& TcpTransport::stats() const {
 }
 
 void TcpTransport::register_site(SiteId self, MessageHandler handler) {
-  handlers_[self.value] = std::move(handler);
+  // Each handler has its own heap slot, so one that registers a site while
+  // it runs is not moved by the table growing under it.
+  std::unique_ptr<MessageHandler>& slot = handlers_[self.value];
+  if (slot == nullptr) slot = std::make_unique<MessageHandler>();
+  *slot = std::move(handler);
 }
 
 void TcpTransport::enable_cluster(SiteId self) {
@@ -207,24 +227,24 @@ void TcpTransport::enable_cluster(SiteId self) {
 }
 
 bool TcpTransport::supervised_route(SiteId site) const {
-  return supervision_.enabled && routes_.find(site.value) != routes_.end();
+  return supervision_.enabled && routes_.contains(site.value);
 }
 
 void TcpTransport::prime_supervised(SiteId site) {
   if (!supervised_route(site)) return;
-  if (peers_.try_emplace(site.value).second) start_dial(site);
+  if (touch_peer(site).second) start_dial(site);
 }
 
 Connection* TcpTransport::ready_connection(SiteId to) {
   Connection* conn = nullptr;
   if (supervised_route(to)) {
-    const auto [it, created] = peers_.try_emplace(to.value);
+    const auto [peer, created] = touch_peer(to);
     if (created) {
       // No traffic has touched this route yet: start it like a send would.
       start_dial(to);
       return nullptr;
     }
-    if (it->second.state == ConnectionState::kHealthy) conn = it->second.conn;
+    if (peer->state == ConnectionState::kHealthy) conn = peer->conn;
   } else {
     conn = connection_to(to);
   }
@@ -233,8 +253,7 @@ Connection* TcpTransport::ready_connection(SiteId to) {
 
 bool TcpTransport::send_cacher_subscribe(SiteId from, SiteId to,
                                          const wire::CacherSubscribe& cs) {
-  const auto local = handlers_.find(to.value);
-  if (local != handlers_.end()) {
+  if (handlers_.contains(to.value)) {
     // Both sites live on this transport (single-process cluster): deliver
     // through the loop so the handler never runs inside its own send.
     loop_.post([this, to, cs]() {
@@ -265,25 +284,22 @@ Connection* TcpTransport::dial(const Route& route, SiteId site) {
   auto conn = std::make_shared<Connection>(loop_, fd, /*connecting=*/rc != 0);
   Connection* raw = conn.get();
   adopt(std::move(conn));
-  peer_conn_[site.value] = ReturnPath{raw, /*via_forwarder=*/false};
+  peer_conn_[site.value] = ReturnPath{raw, /*via_forwarder=*/false,
+                                      /*routed=*/true};
   return raw;
 }
 
 Connection* TcpTransport::connection_to(SiteId to) {
-  const auto it = peer_conn_.find(to.value);
-  if (it != peer_conn_.end() && !it->second.conn->closed()) {
-    return it->second.conn;
-  }
-  const auto route = routes_.find(to.value);
-  if (route == routes_.end()) return nullptr;
-  return dial(route->second, to);
+  const ReturnPath* path = peer_conn_.find(to.value);
+  if (path == nullptr) return nullptr;
+  if (path->conn != nullptr && !path->conn->closed()) return path->conn;
+  return path->routed ? dial(*routes_.find(to.value), to) : nullptr;
 }
 
 void TcpTransport::send_message(SiteId from, SiteId to, Message m,
                                 std::size_t bytes) {
   (void)bytes;  // the sim cost model; real byte counts live in Connection
-  const auto local = handlers_.find(to.value);
-  if (local != handlers_.end()) {
+  if (handlers_.contains(to.value)) {
     // Both endpoints live on this transport. Queue for the tick-end batch
     // apply, so the handler never runs inside send_message (Transport
     // contract) and a tick's worth of local messages is applied in one
@@ -361,8 +377,7 @@ void TcpTransport::set_flight_recorder(FlightRecorder* recorder) {
 
 bool TcpTransport::send_stats_request(SiteId from, SiteId to,
                                       const wire::StatsRequest& rq) {
-  const auto local = handlers_.find(to.value);
-  if (local != handlers_.end()) {
+  if (handlers_.contains(to.value)) {
     // The polled process is this one: answer through the loop, like local
     // time-sync, so the reply handler never runs inside its own send.
     loop_.post([this, to, rq]() {
@@ -387,8 +402,7 @@ bool TcpTransport::send_stats_request(SiteId from, SiteId to,
 
 bool TcpTransport::send_time_sync(SiteId from, SiteId to,
                                   const wire::TimeSync& ts) {
-  const auto local = handlers_.find(to.value);
-  if (local != handlers_.end() && !ts.reply) {
+  if (handlers_.contains(to.value) && !ts.reply) {
     // The time server lives on this transport: answer through the loop so
     // the sync client's handler never runs inside its own send.
     loop_.post([this, from, to, ts]() {
@@ -420,19 +434,18 @@ void TcpTransport::transition(SiteId site, Peer& peer, ConnectionState next) {
 }
 
 void TcpTransport::supervised_send(SiteId from, SiteId to, Message m) {
-  auto [it, created] = peers_.try_emplace(to.value);
-  Peer& peer = it->second;
+  const auto [peer, created] = touch_peer(to);
   if (created) {
     start_dial(to);
   }
-  switch (peer.state) {
+  switch (peer->state) {
     case ConnectionState::kHealthy:
       ++stats_.frames_sent;
-      emit_or_wrap(peer.conn, from, to, m);
+      emit_or_wrap(peer->conn, from, to, m);
       return;
     case ConnectionState::kConnecting:
     case ConnectionState::kBackoff:
-      enqueue_frame(peer, from, to, std::move(m));
+      enqueue_frame(*peer, from, to, std::move(m));
       return;
     case ConnectionState::kDead:
       // The caller was told via peer_reachable(); anything still sent here
@@ -455,15 +468,15 @@ void TcpTransport::enqueue_frame(Peer& peer, SiteId from, SiteId to,
 }
 
 void TcpTransport::start_dial(SiteId site) {
-  Peer& peer = peers_.at(site.value);
-  const auto route_it = routes_.find(site.value);
-  TIMEDC_ASSERT(route_it != routes_.end());
+  Peer& peer = *find_peer(site);
   transition(site, peer, ConnectionState::kConnecting);
   const std::uint64_t generation = ++peer.generation;
   if (peer.failures > 0) ++stats_.reconnect_attempts;
 
+  const Route* route = routes_.find(site.value);
+  TIMEDC_ASSERT(route != nullptr);
   const int fd = make_tcp_socket();
-  sockaddr_in addr = loopback_addr(route_it->second.host, route_it->second.port);
+  sockaddr_in addr = loopback_addr(route->host, route->port);
   const int rc =
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   if (rc != 0 && errno != EINPROGRESS) {
@@ -486,21 +499,19 @@ void TcpTransport::start_dial(SiteId site) {
   raw->set_connected_handler(
       [this, site](Connection&) { on_supervised_connected(site); });
   loop_.run_after(supervision_.dial_timeout, [this, site, generation]() {
-    const auto it = peers_.find(site.value);
-    if (it == peers_.end()) return;
-    Peer& p = it->second;
-    if (p.generation != generation ||
-        p.state != ConnectionState::kConnecting || p.conn == nullptr ||
-        !p.conn->connecting()) {
+    Peer* p = find_peer(site);
+    if (p == nullptr || p->generation != generation ||
+        p->state != ConnectionState::kConnecting || p->conn == nullptr ||
+        !p->conn->connecting()) {
       return;
     }
     ++stats_.dial_timeouts;
-    p.conn->close("dial timeout");  // failure path continues in on_close
+    p->conn->close("dial timeout");  // failure path continues in on_close
   });
 }
 
 void TcpTransport::on_supervised_connected(SiteId site) {
-  Peer& peer = peers_.at(site.value);
+  Peer& peer = *find_peer(site);
   if (peer.failures > 0) ++stats_.reconnects;
   transition(site, peer, ConnectionState::kHealthy);
   // Fresh liveness epoch: the deadline measures silence on *this*
@@ -526,9 +537,9 @@ void TcpTransport::schedule_heartbeat(SiteId site, std::uint64_t generation) {
       0.1 * static_cast<double>(delay_us) *
       (2.0 * backoff_rng_.uniform01() - 1.0));
   loop_.run_after(SimTime::micros(delay_us), [this, site, generation]() {
-    const auto it = peers_.find(site.value);
-    if (it == peers_.end()) return;
-    Peer& peer = it->second;
+    Peer* found = find_peer(site);
+    if (found == nullptr) return;
+    Peer& peer = *found;
     if (peer.generation != generation ||
         peer.state != ConnectionState::kHealthy || peer.conn == nullptr ||
         peer.conn->closed()) {
@@ -560,7 +571,7 @@ void TcpTransport::schedule_heartbeat(SiteId site, std::uint64_t generation) {
 }
 
 void TcpTransport::schedule_backoff(SiteId site) {
-  Peer& peer = peers_.at(site.value);
+  Peer& peer = *find_peer(site);
   peer.conn = nullptr;
   if (shutting_down_) return;
   const std::uint64_t generation = ++peer.generation;
@@ -571,10 +582,9 @@ void TcpTransport::schedule_backoff(SiteId site) {
     // A dead peer is still probed, at the backoff cap's cadence, so a
     // healed partition or restarted server is eventually rediscovered.
     loop_.run_after(supervision_.backoff_cap, [this, site, generation]() {
-      const auto it = peers_.find(site.value);
-      if (it == peers_.end()) return;
-      Peer& p = it->second;
-      if (p.generation != generation || p.state != ConnectionState::kDead) {
+      const Peer* p = find_peer(site);
+      if (p == nullptr || p->generation != generation ||
+          p->state != ConnectionState::kDead) {
         return;
       }
       start_dial(site);
@@ -591,10 +601,9 @@ void TcpTransport::schedule_backoff(SiteId site) {
     delay_us = static_cast<std::int64_t>(static_cast<double>(delay_us) * f);
   }
   loop_.run_after(SimTime::micros(delay_us), [this, site, generation]() {
-    const auto it = peers_.find(site.value);
-    if (it == peers_.end()) return;
-    Peer& p = it->second;
-    if (p.generation != generation || p.state != ConnectionState::kBackoff) {
+    const Peer* p = find_peer(site);
+    if (p == nullptr || p->generation != generation ||
+        p->state != ConnectionState::kBackoff) {
       return;
     }
     start_dial(site);
@@ -602,7 +611,7 @@ void TcpTransport::schedule_backoff(SiteId site) {
 }
 
 void TcpTransport::on_supervised_close(SiteId site, Connection& conn) {
-  Peer& peer = peers_.at(site.value);
+  Peer& peer = *find_peer(site);
   if (peer.conn != &conn) return;  // an older connection's close, already
                                    // superseded by a newer dial
   ++peer.failures;
@@ -614,12 +623,10 @@ void TcpTransport::on_frame(Connection& conn, const wire::FrameView& view) {
   // connection belongs to — and the only thing that resets its
   // consecutive-failure count (a bare connect success is not proof: a
   // black-holing peer accepts and then says nothing).
-  const auto sup = conn_site_.find(&conn);
-  if (sup != conn_site_.end()) {
-    const auto peer_it = peers_.find(sup->second);
-    if (peer_it != peers_.end()) {
-      peer_it->second.last_rx_us = loop_.now().as_micros();
-      peer_it->second.failures = 0;
+  if (const std::uint32_t* site = conn_site_.find(&conn)) {
+    if (Peer* peer = find_peer(SiteId{*site})) {
+      peer->last_rx_us = loop_.now().as_micros();
+      peer->failures = 0;
     }
   }
   // Connection steering decides on the header alone, before the body is
@@ -674,7 +681,7 @@ void TcpTransport::on_frame(Connection& conn, const wire::FrameView& view) {
   if (cluster_enabled_ &&
       (view.type == wire::MsgType::kOverloaded ||
        view.type == wire::MsgType::kRingUpdate) &&
-      handlers_.find(view.to.value) == handlers_.end()) {
+      !handlers_.contains(view.to.value)) {
     // An admission-shed reply or ring hint travelling back to a client whose
     // connection this process holds (the request arrived here and was
     // forwarded out): relay verbatim, exactly like protocol replies.
@@ -793,10 +800,12 @@ void TcpTransport::on_frame(Connection& conn, const wire::FrameView& view) {
 void TcpTransport::dispatch_protocol(Connection& conn,
                                      const wire::FrameView& view,
                                      std::uint8_t hops) {
-  // A frame for a site not hosted here is relayed or forwarded from the
-  // header alone, before any body decode: relayed replies and re-forwarded
-  // requests copy raw bytes straight from the read buffer.
-  if (cluster_enabled_ && handlers_.find(view.to.value) == handlers_.end()) {
+  // One handler probe per frame: the header's destination is the decoded
+  // frame's. A frame for a site not hosted here is relayed or forwarded from
+  // the header alone, before any body decode: relayed replies and
+  // re-forwarded requests copy raw bytes straight from the read buffer.
+  MessageHandler* const handler = local_handler(view.to);
+  if (cluster_enabled_ && handler == nullptr) {
     if (relay_or_forward(conn, view, hops)) return;
   }
   // Decode the body into the per-transport scratch frame (reused storage:
@@ -828,8 +837,7 @@ void TcpTransport::dispatch_protocol(Connection& conn,
   // holds; a direct arrival overrides it (latest wins, so a reconnecting
   // peer takes over).
   learn_return_path(frame.from, conn, /*via_forwarder=*/hops > 0);
-  const auto h = handlers_.find(frame.to.value);
-  if (h == handlers_.end()) {
+  if (handler == nullptr) {
     ++stats_.unroutable;
     return;
   }
@@ -838,7 +846,7 @@ void TcpTransport::dispatch_protocol(Connection& conn,
   dispatch_hops_ = hops;
   if (sampled) {
     const std::int64_t apply_t0 = EventLoop::steady_time_us();
-    h->second(frame.from, frame.message);
+    (*handler)(frame.from, frame.message);
     const std::int64_t us = EventLoop::steady_time_us() - apply_t0;
     stats_board_->record_stage(Stage::kApply, us);
     if (flight_ != nullptr) {
@@ -847,7 +855,7 @@ void TcpTransport::dispatch_protocol(Connection& conn,
                       static_cast<std::int64_t>(Stage::kApply), us);
     }
   } else {
-    h->second(frame.from, frame.message);
+    (*handler)(frame.from, frame.message);
   }
   dispatch_hops_ = 0;
 }
@@ -892,16 +900,15 @@ bool TcpTransport::relay_or_forward(Connection& conn,
 
 void TcpTransport::learn_return_path(SiteId site, Connection& conn,
                                      bool via_forwarder) {
-  // A routed site is reached over the connection dialed to it. A frame
-  // bearing its id on another connection was relayed by a cluster member;
-  // learning from it would send this site's requests through that member.
-  if (routes_.find(site.value) != routes_.end()) return;
-  const auto [it, inserted] =
+  // One probe. A routed site is reached over the connection dialed to it. A
+  // frame bearing its id on another connection was relayed by a cluster
+  // member; learning from it would send this site's requests through that
+  // member.
+  const auto [path, inserted] =
       peer_conn_.try_emplace(site.value, ReturnPath{&conn, via_forwarder});
-  ReturnPath& path = it->second;
-  if (!inserted && (!via_forwarder || path.via_forwarder ||
-                    path.conn->closed())) {
-    path = ReturnPath{&conn, via_forwarder};
+  if (inserted || path->routed) return;
+  if (!via_forwarder || path->via_forwarder || path->conn->closed()) {
+    *path = ReturnPath{&conn, via_forwarder};
   }
 }
 
@@ -911,10 +918,12 @@ Connection* TcpTransport::relay_target(SiteId site,
   // whose own path leads back here. Each member pair holds two connections
   // (both sides dial), so an arrival-connection check alone cannot stop
   // that ping-pong.
-  const auto it = peer_conn_.find(site.value);
-  if (it == peer_conn_.end() || it->second.via_forwarder) return nullptr;
-  Connection* target = it->second.conn;
-  return target->closed() || target == &arrival ? nullptr : target;
+  const ReturnPath* path = peer_conn_.find(site.value);
+  if (path == nullptr || path->via_forwarder) return nullptr;
+  Connection* target = path->conn;
+  return target == nullptr || target->closed() || target == &arrival
+             ? nullptr
+             : target;
 }
 
 // --- self-healing -----------------------------------------------------------
@@ -929,10 +938,10 @@ void TcpTransport::maybe_hint_ring(SiteId client) {
   if (ring_epoch_ == 0) return;  // baseline ring: nothing to re-learn
   std::uint64_t& hinted = ring_hinted_[client.value];
   if (hinted >= ring_epoch_) return;  // already told this client this epoch
-  const auto it = peer_conn_.find(client.value);
-  if (it == peer_conn_.end() || it->second.conn->closed()) return;
+  const ReturnPath* path = peer_conn_.find(client.value);
+  if (path == nullptr || path->conn == nullptr || path->conn->closed()) return;
   hinted = ring_epoch_;
-  it->second.conn->send_encoded<wire::encode_ring_update_frame>(
+  path->conn->send_encoded<wire::encode_ring_update_frame>(
       cluster_self_, client, ring_epoch_, ring_members_);
   ++stats_.ring_updates_sent;
 }
@@ -940,16 +949,23 @@ void TcpTransport::maybe_hint_ring(SiteId client) {
 void TcpTransport::purge_member(SiteId site) {
   ++stats_.members_purged;
   // The learned return path: a reply routed at this peer would sit in a
-  // kernel buffer (or a half-dead socket) until supervision noticed.
-  peer_conn_.erase(site.value);
+  // kernel buffer (or a half-dead socket) until supervision noticed. A
+  // routed peer keeps its entry, without a connection, and re-dials.
+  if (ReturnPath* path = peer_conn_.find(site.value)) {
+    if (path->routed) {
+      path->conn = nullptr;
+    } else {
+      peer_conn_.erase(site.value);
+    }
+  }
   // The pending-forward queue: frames buffered while the route was
   // reconnecting. Gossip just proved the peer dead cluster-wide, which is
   // strictly stronger evidence than local supervision failures — the retry
   // layer re-issues against the rebalanced ring instead.
-  const auto it = peers_.find(site.value);
-  if (it != peers_.end() && !it->second.queue.empty()) {
-    stats_.frames_dropped_peer_dead += it->second.queue.size();
-    it->second.queue.clear();
+  Peer* peer = find_peer(site);
+  if (peer != nullptr && !peer->queue.empty()) {
+    stats_.frames_dropped_peer_dead += peer->queue.size();
+    peer->queue.clear();
   }
   ring_hinted_.erase(site.value);
 }
@@ -966,11 +982,7 @@ bool TcpTransport::send_slice_sync(SiteId from, SiteId to,
 
 bool TcpTransport::send_overloaded(SiteId from, SiteId to,
                                    const wire::Overloaded& ov) {
-  const auto learned = peer_conn_.find(to.value);
-  Connection* conn =
-      (learned != peer_conn_.end() && !learned->second.conn->closed())
-          ? learned->second.conn
-          : connection_to(to);
+  Connection* conn = connection_to(to);
   if (conn == nullptr || conn->closed()) return false;
   conn->send_encoded<wire::encode_overloaded_frame>(from, to, ov);
   ++stats_.overloaded_sent;
@@ -1057,9 +1069,7 @@ void TcpTransport::steer(Connection& conn, TcpTransport& owner) {
   forget_pending(&conn);
   // The connection carried no learned return paths yet (steering happens
   // on the first protocol frame), but purge defensively.
-  for (auto it = peer_conn_.begin(); it != peer_conn_.end();) {
-    it = (it->second.conn == &conn) ? peer_conn_.erase(it) : std::next(it);
-  }
+  forget_paths_through(conn);
   TcpTransport* target = &owner;
   target->loop().post(
       [target, fd, lo = std::move(leftover)]() mutable {
@@ -1080,18 +1090,21 @@ void TcpTransport::on_close(Connection& conn, const char* reason) {
   forget_pending(&conn);
   // Purge every learned return path through this connection: a send to one
   // of these sites must re-dial or re-learn, never touch a dead pointer.
-  for (auto it = peer_conn_.begin(); it != peer_conn_.end();) {
-    it = (it->second.conn == &conn) ? peer_conn_.erase(it) : std::next(it);
-  }
-  const auto sup = conn_site_.find(&conn);
-  if (sup != conn_site_.end()) {
-    const SiteId site{sup->second};
-    conn_site_.erase(sup);
-    if (peers_.find(site.value) != peers_.end()) {
-      on_supervised_close(site, conn);
-    }
+  forget_paths_through(conn);
+  if (const std::uint32_t* supervised = conn_site_.find(&conn)) {
+    const SiteId site{*supervised};
+    conn_site_.erase(&conn);
+    if (find_peer(site) != nullptr) on_supervised_close(site, conn);
   }
   release_conn(conn);
+}
+
+void TcpTransport::forget_paths_through(const Connection& conn) {
+  peer_conn_.erase_if([&conn](std::uint32_t, ReturnPath& path) {
+    if (path.conn != &conn) return false;
+    path.conn = nullptr;  // a routed site keeps its entry and re-dials
+    return !path.routed;
+  });
 }
 
 void TcpTransport::release_conn(Connection& conn) {
@@ -1133,8 +1146,7 @@ void TcpTransport::on_tick_end() {
       local_batch_.clear();
       local_batch_.swap(pending_local_);
       for (LocalDelivery& d : local_batch_) {
-        const auto h = handlers_.find(d.to.value);
-        if (h != handlers_.end()) h->second(d.from, d.message);
+        if (MessageHandler* h = local_handler(d.to)) (*h)(d.from, d.message);
       }
     }
     // One gather write per connection that queued output this tick. Acks a

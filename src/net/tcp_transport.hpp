@@ -33,6 +33,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "net/connection.hpp"
 #include "net/event_loop.hpp"
@@ -492,6 +493,8 @@ class TcpTransport final : public Transport {
   /// takes over; a path learned through a forwarder (`via_forwarder`) never
   /// displaces a live direct one. Sites with a route are never learned.
   void learn_return_path(SiteId site, Connection& conn, bool via_forwarder);
+  /// Drop every return path through `conn` (closing or steered away).
+  void forget_paths_through(const Connection& conn);
   /// Where a frame for `site` that arrived on `arrival` may be relayed: the
   /// site's direct return path, or null. Never a path learned through a
   /// forwarder, so a frame is relayed at most once and cannot loop.
@@ -536,6 +539,13 @@ class TcpTransport final : public Transport {
   /// ring epoch (no-op on the baseline ring or when already hinted).
   void maybe_hint_ring(SiteId client);
   Connection* dial(const Route& route, SiteId site);
+  /// The handler registered for `site`, or null when it is not hosted here.
+  MessageHandler* local_handler(SiteId site) const;
+  /// The supervised peer for `site`, or null before traffic touched it.
+  Peer* find_peer(SiteId site) const;
+  /// The supervised peer for `site`, created (not yet dialed) if new; the
+  /// flag says whether it was.
+  std::pair<Peer*, bool> touch_peer(SiteId site);
 
   // Supervision internals (loop-thread only):
   void supervised_send(SiteId from, SiteId to, Message m);
@@ -553,20 +563,26 @@ class TcpTransport final : public Transport {
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
 
-  std::unordered_map<std::uint32_t, MessageHandler> handlers_;
-  std::unordered_map<std::uint32_t, Route> routes_;
+  // The site tables are probed per frame, so they are flat; handlers and
+  // peers sit behind pointers because callbacks run while holding them.
+  FlatMap<std::uint32_t, std::unique_ptr<MessageHandler>> handlers_;
+  FlatMap<std::uint32_t, Route> routes_;
   // Where frames addressed to a site currently leave (dialed or learned).
+  // A routed site's entry exists from add_route on, with a null conn until
+  // it is dialed and after its connection closes; any other entry has a
+  // conn and is erased with it.
   struct ReturnPath {
-    Connection* conn;
-    bool via_forwarder;  // learned from a kForward, not a direct arrival
+    Connection* conn = nullptr;
+    bool via_forwarder = false;  // learned from a kForward, not directly
+    bool routed = false;         // has a route: never learned, re-dialed
   };
-  std::unordered_map<std::uint32_t, ReturnPath> peer_conn_;
+  FlatMap<std::uint32_t, ReturnPath> peer_conn_;
   std::unordered_map<Connection*, std::shared_ptr<Connection>> conns_;
 
   SupervisionConfig supervision_;
-  std::unordered_map<std::uint32_t, Peer> peers_;
+  FlatMap<std::uint32_t, std::unique_ptr<Peer>> peers_;  // never erased
   // Reverse map: which supervised site a dialed connection belongs to.
-  std::unordered_map<const Connection*, std::uint32_t> conn_site_;
+  FlatMap<const Connection*, std::uint32_t> conn_site_;
   PeerStateHandler on_peer_state_;
   TimeSyncHandler on_time_sync_;
 
@@ -598,7 +614,7 @@ class TcpTransport final : public Transport {
   std::vector<wire::SliceRecord> slice_scratch_;
   /// Ring epoch last hinted per client site: one kRingUpdate per client per
   /// epoch, not one per misrouted request.
-  std::unordered_map<std::uint32_t, std::uint64_t> ring_hinted_;
+  FlatMap<std::uint32_t, std::uint64_t> ring_hinted_;
   SimTime time_source_offset_ = SimTime::zero();
   Rng backoff_rng_;
   bool shutting_down_ = false;

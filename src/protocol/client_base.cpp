@@ -137,6 +137,14 @@ void CacheClient::stamp_op_start() {
 void CacheClient::send_to_server(Message m, ObjectId object) {
   const SiteId target = route_ ? route_(object) : server_;
   stamp_request_id(m, ++next_request_id_);
+  if (!retry_.enabled()) {
+    // Sent once and never again: the transport takes the request itself,
+    // and the in-flight record keeps only what reply matching reads.
+    rpc_ = InFlightRpc{next_request_id_, Message{}, object, target};
+    const std::size_t bytes = sizes_.of(m);
+    net_.send_message(self_, target, std::move(m), bytes);
+    return;
+  }
   rpc_ = InFlightRpc{next_request_id_, std::move(m), object, target};
   transmit();
 }
@@ -147,8 +155,7 @@ void CacheClient::transmit() {
   // a reachable replica *before* burning a timeout on it. The sim Network
   // always reports reachable, so sim behaviour is unchanged — there the
   // timeout path below does the rotating.
-  if (retry_.enabled() && failover_.size() > 1 &&
-      !net_.peer_reachable(rpc_->target)) {
+  if (failover_.size() > 1 && !net_.peer_reachable(rpc_->target)) {
     std::size_t at = 0;
     for (std::size_t i = 0; i < failover_.size(); ++i) {
       if (failover_[i] == rpc_->target) at = i;
@@ -167,7 +174,7 @@ void CacheClient::transmit() {
   }
   net_.send_message(self_, rpc_->target, rpc_->request,
                     sizes_.of(rpc_->request));
-  if (retry_.enabled()) arm_timeout();
+  arm_timeout();
 }
 
 SimTime CacheClient::timeout_for_attempt(int attempt) {

@@ -169,7 +169,7 @@ class CacheClient {
  private:
   struct InFlightRpc {
     std::uint64_t id = 0;
-    Message request;
+    Message request;  // kept only while the retry layer may re-send it
     ObjectId object;
     SiteId target;
     int attempt = 1;
@@ -179,6 +179,7 @@ class CacheClient {
   void on_network_message(const Message& message);
   /// op_started_at_ = now, when a tracer or the retry layer will read it.
   void stamp_op_start();
+  /// (Re)send rpc_'s request and arm its timeout; retry layer only.
   void transmit();
   void arm_timeout();
   void on_rpc_timeout();

@@ -412,6 +412,7 @@ void ObjectServer::handle_fetch(const FetchRequest& req) {
 }
 
 void ObjectServer::handle_write(const WriteRequest& req) {
+  WriteDedup* dedup = nullptr;
   if (req.request_id != 0) {
     WriteDedup& d = write_dedup_[req.reply_to.value];
     if (req.request_id == d.completed_id) {
@@ -429,8 +430,9 @@ void ObjectServer::handle_write(const WriteRequest& req) {
       return;
     }
     d.deferred_id = req.request_id;
+    dedup = &d;
   }
-  admit_or_defer_write(req, /*deferrals=*/0);
+  admit_or_defer_write(req, /*deferrals=*/0, dedup);
 }
 
 bool ObjectServer::admit_op(std::int64_t reserve_micro) {
@@ -480,7 +482,8 @@ bool ObjectServer::admit_read(ObjectId object, SiteId client,
 }
 
 void ObjectServer::admit_or_defer_write(const WriteRequest& req,
-                                        std::uint32_t deferrals) {
+                                        std::uint32_t deferrals,
+                                        WriteDedup* dedup) {
   if (config_.admit_rate_per_s != 0 && !admit_op(0) &&
       deferrals < config_.admit_max_write_deferrals) {
     // Out of tokens: delay the write until the bucket refills one op's
@@ -503,11 +506,11 @@ void ObjectServer::admit_or_defer_write(const WriteRequest& req,
     net_.run_after(SimTime::micros(delay_us),
                    [this, deferred, epoch, deferrals] {
                      if (epoch != epoch_ || !up_) return;
-                     admit_or_defer_write(deferred, deferrals + 1);
+                     admit_or_defer_write(deferred, deferrals + 1, nullptr);
                    });
     return;
   }
-  defer_or_apply(req);
+  defer_or_apply(req, dedup);
 }
 
 bool ObjectServer::forward_warm_miss(ObjectId object, const Message& m) {
@@ -589,7 +592,7 @@ bool ObjectServer::install_sync_record(const wire::SliceRecord& rec) {
   return install;
 }
 
-void ObjectServer::defer_or_apply(const WriteRequest& req) {
+void ObjectServer::defer_or_apply(const WriteRequest& req, WriteDedup* dedup) {
   const SimTime now = net_.now();
   Stored& s = stored(req.object);
   // Gray-Cheriton: while another client holds a live lease on this object,
@@ -608,16 +611,16 @@ void ObjectServer::defer_or_apply(const WriteRequest& req) {
     net_.run_after(horizon - now, [this, deferred, epoch] {
       // The deferral was soft state: a crash in the meantime voids it.
       if (epoch != epoch_ || !up_) return;
-      defer_or_apply(deferred);
+      defer_or_apply(deferred, nullptr);
     });
     return;
   }
   s.write_pending = false;
-  apply_write(req, s, now);
+  apply_write(req, s, now, dedup);
 }
 
 void ObjectServer::apply_write(const WriteRequest& req, Stored& s,
-                               SimTime now) {
+                               SimTime now, WriteDedup* dedup) {
   const SiteId from = req.reply_to;
   // Last-writer-wins on the start time alpha: a racing write whose
   // effective time is older than the stored value's never becomes current
@@ -634,7 +637,7 @@ void ObjectServer::apply_write(const WriteRequest& req, Stored& s,
     // fetching the winning value instead.
     const WriteAck ack{req.object, 0, req.request_id};
     if (write_log_) write_log_(req, 0);  // durable before the ack leaves
-    record_completed(req, ack);
+    record_completed(req, ack, dedup);
     send(from, Message{ack});
     return;
   }
@@ -655,7 +658,7 @@ void ObjectServer::apply_write(const WriteRequest& req, Stored& s,
         req.value.value, 1);
   const WriteAck ack{req.object, s.version, req.request_id};
   if (write_log_) write_log_(req, s.version);  // durable before the ack leaves
-  record_completed(req, ack);
+  record_completed(req, ack, dedup);
   send(from, Message{ack});
 
   // Peer-server cachers are pushed on every accepted write, independent of
@@ -677,9 +680,9 @@ void ObjectServer::apply_write(const WriteRequest& req, Stored& s,
 }
 
 void ObjectServer::record_completed(const WriteRequest& req,
-                                    const WriteAck& ack) {
+                                    const WriteAck& ack, WriteDedup* dedup) {
   if (req.request_id == 0) return;
-  WriteDedup& d = write_dedup_[req.reply_to.value];
+  WriteDedup& d = dedup != nullptr ? *dedup : write_dedup_[req.reply_to.value];
   if (req.request_id >= d.completed_id) {
     d.completed_id = req.request_id;
     d.ack = ack;

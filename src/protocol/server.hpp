@@ -14,6 +14,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "core/history.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
@@ -353,16 +354,23 @@ class ObjectServer {
   /// (kOverloaded) on failure, admit_or_defer_write delays then applies.
   bool admit_op(std::int64_t reserve_micro);
   bool admit_read(ObjectId object, SiteId client, std::uint64_t request_id);
-  void admit_or_defer_write(const WriteRequest& req, std::uint32_t deferrals);
+  /// `dedup` is the writer's dedup slot, when the caller holds it: it is
+  /// valid only until write_dedup_ next changes, so a deferral drops it and
+  /// the later apply looks the slot up again.
+  void admit_or_defer_write(const WriteRequest& req, std::uint32_t deferrals,
+                            WriteDedup* dedup);
   /// True when a warming server forwarded this request for a locally cold
   /// object through to its donor.
   bool forward_warm_miss(ObjectId object, const Message& m);
   /// Lease gate: defers past live leases and the post-restart grace window.
   /// It reads the clock once; apply_write stamps the write with that `now`.
-  void defer_or_apply(const WriteRequest& req);
-  void apply_write(const WriteRequest& req, Stored& s, SimTime now);
-  /// Log the applied write in the dedup slot so retransmissions re-ack.
-  void record_completed(const WriteRequest& req, const WriteAck& ack);
+  void defer_or_apply(const WriteRequest& req, WriteDedup* dedup);
+  void apply_write(const WriteRequest& req, Stored& s, SimTime now,
+                   WriteDedup* dedup);
+  /// Log the applied write in the dedup slot (`dedup`, or looked up when
+  /// null) so retransmissions re-ack.
+  void record_completed(const WriteRequest& req, const WriteAck& ack,
+                        WriteDedup* dedup);
   /// Latest lease expiry held by any client other than `writer` (zero when
   /// none). Entries expired by `now` are pruned as a side effect.
   SimTime lease_horizon(Stored& s, ObjectId object, SiteId writer,
@@ -397,7 +405,7 @@ class ObjectServer {
   // previous incarnation die instead of touching the restarted server.
   std::uint64_t epoch_ = 0;
   SimTime lease_grace_until_ = SimTime::zero();
-  std::unordered_map<std::uint32_t, WriteDedup> write_dedup_;
+  FlatMap<std::uint32_t, WriteDedup> write_dedup_;  // keyed by client site
   std::unordered_map<ObjectId, Stored> objects_;
   // The server's merged logical knowledge: max over all write timestamps it
   // has applied. Shipped as omega_l so a fresh copy never looks causally

@@ -12,15 +12,17 @@
 //
 // Expiry is driven by an index of the valid entries ordered by omega, so a
 // Context_i raise touches only the entries it expires (O(log n) each)
-// instead of walking the whole cache; see DESIGN.md section 6.
+// instead of walking the whole cache. Entries live in an open-addressed
+// table, so a session allocates a few arrays, not one node per entry; see
+// DESIGN.md section 6.
 //
 // Delta = infinity disables rule 3 and yields the plain SC lifetime
 // protocol of [39]; that degeneration is exercised in the tests.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "protocol/client_base.hpp"
 
 namespace timedc {
@@ -67,15 +69,16 @@ class TimedSerialCache final : public CacheClient {
     }
   };
 
-  /// Rule 3 + the invalidation sweep; called before serving any operation.
-  void advance_context_for_timeliness();
+  /// Rule 3 at local time `t` + the invalidation sweep; called before
+  /// serving any operation.
+  void advance_context_for_timeliness(SimTime t);
   void raise_context(SimTime candidate);
   void sweep();
   void install(const ObjectCopy& copy);
   /// Index cache_[object], just set valid with `omega`.
   void index(ObjectId object, SimTime omega);
 
-  std::unordered_map<ObjectId, Entry> cache_;
+  FlatMap<std::uint32_t, Entry> cache_;  // keyed by ObjectId::value
   std::vector<Expiry> expiry_;  // min-heap on omega
   SimTime context_ = SimTime::zero();
   ObjectId pending_object_;  // object of the in-flight fetch/validate

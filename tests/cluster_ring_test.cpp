@@ -11,11 +11,15 @@
 // is a monotone version counter over the alive set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "cluster/membership.hpp"
 #include "cluster/ring.hpp"
+#include "common/rng.hpp"
 
 namespace timedc {
 namespace {
@@ -93,6 +97,85 @@ TEST(HashRingTest, EpochAdvancesOnEveryMutation) {
   EXPECT_TRUE(ring.remove_member(SiteId{2}));
   EXPECT_GT(ring.epoch(), e2);
   EXPECT_FALSE(ring.remove_member(SiteId{2}));
+}
+
+/// The rule owner_of's bucket index replaces: binary search for the first
+/// point at or after the hash over points rebuilt from the member list,
+/// wrapping to the first point past the last.
+class LowerBoundRing {
+ public:
+  explicit LowerBoundRing(std::span<const SiteId> members) {
+    for (const SiteId m : members) {
+      for (std::uint64_t v = 0; v < HashRing::kVnodes; ++v) {
+        points_.push_back({cluster::ring_hash((v << 32) | m.value), m.value});
+      }
+    }
+    std::sort(points_.begin(), points_.end());
+  }
+  std::uint32_t owner_of(ObjectId object, bool* wrapped) const {
+    const std::uint64_t h = cluster::ring_hash(object.value);
+    const auto it = std::lower_bound(
+        points_.begin(), points_.end(), h,
+        [](const std::pair<std::uint64_t, std::uint32_t>& p,
+           std::uint64_t key) { return p.first < key; });
+    *wrapped = it == points_.end();
+    return *wrapped ? points_.front().second : it->second;
+  }
+
+ private:
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> points_;  // (hash, site)
+};
+
+TEST(HashRingTest, OwnerOfEqualsTheLowerBoundRuleOnRandomMemberSets) {
+  Rng rng(0x51a7);
+  std::uint64_t wraps = 0;
+  std::uint64_t checks = 0;
+  auto check_all = [&](const HashRing& ring) {
+    const LowerBoundRing oracle(ring.members());
+    Rng ids(rng.uniform_int(0, 1 << 30));
+    for (int i = 0; i < 100000; ++i) {
+      const ObjectId object{
+          static_cast<std::uint32_t>(ids.uniform_int(0, 0xffffffffll))};
+      bool wrapped = false;
+      const std::uint32_t want = oracle.owner_of(object, &wrapped);
+      ASSERT_EQ(ring.owner_of(object).value, want)
+          << "object " << object.value << " on " << ring.size() << " members";
+      wraps += wrapped ? 1 : 0;
+      ++checks;
+    }
+  };
+  for (int trial = 0; trial < 12; ++trial) {
+    // 1 to 64 distinct members drawn from a wide id range.
+    const auto n = static_cast<std::size_t>(
+        trial == 0 ? 1 : rng.uniform_int(1, 64));
+    std::vector<SiteId> members;
+    while (members.size() < n) {
+      const SiteId s{static_cast<std::uint32_t>(rng.uniform_int(0, 5000))};
+      if (std::find(members.begin(), members.end(), s) == members.end()) {
+        members.push_back(s);
+      }
+    }
+    HashRing ring;
+    ring.set_members(members);
+    check_all(ring);
+    for (int change = 0; change < 4; ++change) {
+      if (change % 2 == 0 || ring.size() == 1) {
+        // A new member (add_member is false for one already present).
+        while (!ring.add_member(SiteId{
+            static_cast<std::uint32_t>(rng.uniform_int(5001, 9000))})) {
+        }
+      } else {
+        const auto pick = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(ring.size()) - 1));
+        ASSERT_TRUE(ring.remove_member(ring.members()[pick]));
+      }
+      check_all(ring);
+    }
+  }
+  // Hashes past the last point wrap to the first; the small rings make
+  // that common enough that every run covers it.
+  EXPECT_GT(wraps, 0u);
+  EXPECT_EQ(checks, 12u * 5u * 100000u);
 }
 
 TEST(MembershipTest, ConfiguredBaselineDoesNotBumpEpoch) {

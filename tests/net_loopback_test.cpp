@@ -296,6 +296,62 @@ TEST(NetLoopback, UnsequencedRequestIsRejectedOverTcp) {
   EXPECT_EQ(server->server(0).stats().fetches, 1u);
 }
 
+TEST(NetLoopback, RoutedSiteRedialsAfterItsPathIsDropped) {
+  // A routed site keeps its return-path entry, without a connection, when
+  // gossip purges it or its connection closes; the next send must dial the
+  // route again.
+  std::unique_ptr<cluster::Node> server = make_server();
+  ASSERT_NE(server, nullptr);
+  server->start();
+  const std::uint16_t port = server->port();
+
+  net::EventLoop loop;
+  net::TcpTransport tx(loop, SimTime::millis(100));
+  tx.add_route(SiteId{0}, "127.0.0.1", port);
+  tx.purge_member(SiteId{0});  // as when gossip marks a member dead
+  auto fetch = [&tx](std::uint64_t id) {
+    tx.send_message(SiteId{500}, SiteId{0},
+                    Message{FetchRequest{ObjectId{1}, SiteId{500}, id}}, 64);
+  };
+  // After the first reply the server goes away; once the client has seen
+  // its connection close, a new server takes the same port and the second
+  // request must reach it over a fresh connection.
+  std::string error;
+  std::function<void()> restart_when_closed = [&] {
+    if (tx.stats().connections_closed == 0) {
+      loop.run_after(SimTime::millis(1), restart_when_closed);
+      return;
+    }
+    cluster::NodeConfig config;
+    config.port = port;
+    server = cluster::Node::create(config, &error);
+    if (server == nullptr) {
+      loop.stop();
+      return;
+    }
+    server->start();
+    fetch(2);
+  };
+  int replies = 0;
+  tx.register_site(SiteId{500}, [&](SiteId, const Message&) {
+    if (++replies == 2) {
+      loop.stop();
+      return;
+    }
+    server->stop(0);
+    restart_when_closed();
+  });
+  loop.post([&] { fetch(1); });
+  loop.run_after(SimTime::seconds(30), [&] { loop.stop(); });  // hang guard
+  loop.run();
+  ASSERT_NE(server, nullptr) << error;
+  server->stop(0);
+
+  EXPECT_EQ(replies, 2);
+  EXPECT_EQ(tx.stats().connections_dialed, 2u);
+  EXPECT_EQ(tx.stats().unroutable, 0u);
+}
+
 TEST(NetLoopback, UnsequencedRequestStillServedOnRawSimPath) {
   Simulator sim;
   Network net(sim, 2, std::make_unique<FixedLatency>(SimTime::micros(10)),

@@ -31,7 +31,11 @@
 // staleness oracle and counted in load.ops_abandoned; --max-abandoned gates
 // the exit status on that count. SIGINT/SIGTERM stop the workers early but
 // still flush --metrics-out/--history-out and print the summary, so an
-// interrupted run keeps its data.
+// interrupted run keeps its data. With the retry layer off, nothing ever
+// gives up on a request a server dropped (say, a frame for a site it does
+// not host): operations still unanswered 2 s after a --duration-s run's
+// bell are counted in load.ops_unfinished and fail the run, which would
+// otherwise wait for them forever.
 //
 // Clocks: by default every worker reads the loop's monotonic clock (perfect
 // synchronization). --clock-offset-us O skews worker w's hardware clock by
@@ -121,6 +125,9 @@ using namespace timedc;
 constexpr std::uint32_t kClientSiteBase = 1000;
 constexpr std::uint32_t kEndpointBand = 4096;   // identities per endpoint
 constexpr std::uint32_t kMaxEndpointBands = 16;  // sub-bands per super-band
+
+/// How long after the bell a run without retries waits for its last replies.
+constexpr SimTime kUnfinishedGrace = SimTime::seconds(2);
 
 std::uint32_t auto_site_base() {
   return kClientSiteBase +
@@ -504,6 +511,13 @@ class Worker {
       deadline_ = loop_.now() + SimTime::seconds(
                                     opt_.duration_s > 0 ? opt_.duration_s
                                                         : 3600);
+      if (opt_.duration_s > 0 && opt_.max_attempts <= 1) {
+        loop_.run_after(SimTime::seconds(opt_.duration_s) + kUnfinishedGrace,
+                        [this] {
+                          unfinished_ = outstanding_;
+                          loop_.stop();
+                        });
+      }
       if (sync_) {
         // Warm-up barrier: stamping history with a clock that is about to
         // snap by the full injected offset would poison every later per-site
@@ -542,6 +556,9 @@ class Worker {
     return read_latencies_;
   }
   std::uint64_t abandoned() const { return abandoned_; }
+  /// Operations still in flight kUnfinishedGrace after the bell (retry
+  /// layer off only; the loop stops there instead of waiting for them).
+  std::uint64_t unfinished() const { return unfinished_; }
   /// Operations deliberately sent to a non-owner endpoint (--misroute-pct).
   std::uint64_t misrouted() const { return misrouted_; }
   /// kRingUpdate hints that actually moved this worker's learned ring.
@@ -785,6 +802,7 @@ class Worker {
   bool eps_sampled_ = false;
   std::size_t done_clients_ = 0;
   std::uint64_t abandoned_ = 0;
+  std::uint64_t unfinished_ = 0;
   bool stop_requested_ = false;
   // Cluster routing state (loop-thread-confined, like everything above).
   std::shared_ptr<cluster::HashRing> ring_;
@@ -923,11 +941,13 @@ int main(int argc, char** argv) {
   for (const std::int64_t l : latencies) latency_hist.record(l);
 
   std::uint64_t total_abandoned = 0;
+  std::uint64_t total_unfinished = 0;
   std::uint64_t total_misrouted = 0;
   std::uint64_t total_ring_updates = 0;
   std::uint64_t total_overloaded = 0;
   for (const auto& w : workers) {
     total_abandoned += w->abandoned();
+    total_unfinished += w->unfinished();
     total_misrouted += w->misrouted();
     total_ring_updates += w->ring_updates();
     total_overloaded += w->overloaded();
@@ -939,6 +959,7 @@ int main(int argc, char** argv) {
   reg.set_counter("load.writes", total_ops - staleness.size());
   reg.set_counter("load.reads_late", late_reads);
   reg.set_counter("load.ops_abandoned", total_abandoned);
+  reg.set_counter("load.ops_unfinished", total_unfinished);
   reg.set_counter("load.interrupted", interrupted ? 1 : 0);
   if (opt.cluster) {
     reg.set_counter("load.cluster", 1);
@@ -1039,6 +1060,14 @@ int main(int argc, char** argv) {
         opt.misroute_pct);
   }
 
+  if (total_unfinished > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %llu operations still unanswered %.0f s after the "
+                 "bell (retry layer off: a server dropped their frames)\n",
+                 static_cast<unsigned long long>(total_unfinished),
+                 kUnfinishedGrace.as_seconds());
+    return 1;
+  }
   if (opt.min_ops_per_sec > 0 && ops_per_sec < opt.min_ops_per_sec) {
     std::fprintf(stderr, "FAIL: %.0f ops/s below the %.0f ops/s floor\n",
                  ops_per_sec, opt.min_ops_per_sec);
